@@ -45,6 +45,7 @@ EXIT_ENGINE = 4
 EXIT_UNSUPPORTED = 5
 
 _NO_HITS_WARNING = "no TOP events observed; use importance sampling"
+_ZERO_WEIGHT_WARNING = "TOP events observed but every hit weight underflowed to 0; p_hat is not an estimate"
 
 
 def format_number(x) -> str:
@@ -112,6 +113,8 @@ def build_report(path, text, tree, config: RunConfig, estimate: Estimate, wall_s
     warnings = []
     if estimate.method == "direct" and estimate.hits == 0:
         warnings.append(_NO_HITS_WARNING)
+    if estimate.hits > 0 and estimate.p_hat == 0.0:
+        warnings.append(_ZERO_WEIGHT_WARNING)
     reference = None
     if estimate.reference is not None:
         reference = {

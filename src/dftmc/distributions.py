@@ -11,17 +11,20 @@ time drops by a common factor ``d``:
 
     1 - G(T) = (1 - F(T)) / d
 
-Exponential and Weibull admit closed forms for ``v``; the other families are
-solved by bisection on the log-survival residual.
+Every family has a closed form for ``v``; LogNormal and Normal invert the
+log of the standard normal tail with ``scipy.special.ndtri_exp``.  The
+generic bisection solver ``solve_reference_bisect`` is kept as an
+independent cross-check.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import log_ndtr, ndtr, ndtri
+from scipy.special import log_ndtr, ndtr, ndtri, ndtri_exp
 
 __all__ = [
     "Exponential",
@@ -38,6 +41,8 @@ __all__ = [
 
 # Normal mass below zero is folded into the law only when it matters.
 _TRUNCATION_THRESHOLD = 1e-12
+
+_MAX_LOG = math.log(sys.float_info.max)
 
 
 class ReferenceSolverError(RuntimeError):
@@ -348,8 +353,15 @@ def scale(dist: Lifetime, v: float) -> ReferenceDistribution:
 def solve_reference(dist: Lifetime, d: float, mission_time: float) -> float:
     """Reference scale v such that survival past ``mission_time`` shrinks by d.
 
-    Exponential and Weibull use closed forms; the other families fall back to
-    the bisection solver.  d = 1 always returns the base scale exactly.
+    Every family has a closed form; with ``y = log(1 - F(T)) - log d``:
+
+    - LogNormal: ``v = exp(log T + sigma * ndtri_exp(y))``;
+    - Normal, with ``c = sd/mean`` kept fixed and ``m = ndtr(-1/c)`` the mass
+      below zero: ``x = ndtri_exp(y + log1p(-m))`` (the ``log1p(-m)`` term
+      only when the law is renormalized), then ``v = T / (1 - c*x)``.
+
+    d = 1 always returns the base scale exactly.  Raises
+    ReferenceSolverError when v would underflow to zero or overflow.
     """
     if not (math.isfinite(d) and d >= 1.0):
         raise ValueError(f"d must be >= 1, got {d!r}")
@@ -362,7 +374,26 @@ def solve_reference(dist: Lifetime, d: float, mission_time: float) -> float:
     if isinstance(dist, Weibull):
         b = dist.shape
         return mission_time / ((mission_time / dist.scale_param) ** b + log_d) ** (1.0 / b)
-    return solve_reference_bisect(dist, d, mission_time)
+    target = float(dist.log_sf(mission_time)) - log_d
+    if isinstance(dist, LogNormal):
+        log_v = math.log(mission_time) + dist.sigma * float(ndtri_exp(target))
+        # math.exp raises OverflowError above this and returns 0.0 far below
+        v = math.exp(log_v) if log_v < _MAX_LOG else math.inf
+    else:
+        if dist._renormalized:
+            target += math.log1p(-dist._mass_below_zero)
+        cx = (dist.sd / dist.mean) * float(ndtri_exp(target))
+        if not cx < 1.0:
+            raise ReferenceSolverError(
+                f"no reference scale matches a survival drop of {d!r} at mission time {mission_time!r}"
+            )
+        v = mission_time / (1.0 - cx)
+    if not 0.0 < v < math.inf:
+        raise ReferenceSolverError(
+            f"reference scale for a survival drop of {d!r} at mission time {mission_time!r} "
+            "is outside the float range"
+        )
+    return v
 
 
 def solve_reference_bisect(dist: Lifetime, d: float, mission_time: float) -> float:

@@ -6,7 +6,8 @@ from importlib import resources
 import jsonschema
 import pytest
 
-from dftmc.cli import dumps_canonical, format_number, main
+from dftmc import RunConfig, estimate_top, parse, to_fault_tree, validate
+from dftmc.cli import _print_text_report, build_report, dumps_canonical, format_number, main
 from conftest import IMPOSSIBLE_DFT, STATIC_OR2_DFT
 
 
@@ -145,6 +146,27 @@ def test_run_direct_zero_hits_warns(overlap_path):
     assert report["estimate"]["p_hat"] == 0.0
     assert report["estimate"]["hits"] == 0
     assert report["warnings"] == ["no TOP events observed; use importance sampling"]
+
+
+def test_report_warns_when_hit_weights_underflow(schema):
+    # at d = 1e300 every event fails before T, and each hit's weight is a
+    # product of 80 density ratios of order 1e-6: it rounds to 0, so
+    # hits > 0 but the weight sum is 0
+    names = [f"E{i}" for i in range(80)]
+    text = "dft 1\n" + "".join(f"be {n} exp mttf=1000.0\n" for n in names)
+    text += f"gate TOP and {' '.join(names)}\ntop TOP\n"
+    tree = validate(to_fault_tree(parse(text)))
+    config = RunConfig(mission_time=1.0, cycles=10_000, seed=1, method="importance", fixed_d=1e300)
+    estimate = estimate_top(tree, config)
+    assert estimate.hits == 10_000 and estimate.p_hat == 0.0 and estimate.std_err == 0.0
+    report = build_report("and80.dft", text, tree, config, estimate, 0.0)
+    jsonschema.validate(report, schema)
+    assert report["warnings"] == [
+        "TOP events observed but every hit weight underflowed to 0; p_hat is not an estimate"
+    ]
+    out = io.StringIO()
+    _print_text_report(report, out)
+    assert f"warning: {report['warnings'][0]}" in out.getvalue()
 
 
 def test_run_deterministic_across_threads(overlap_path):

@@ -213,6 +213,31 @@ def test_closed_forms_match_bisection():
         assert solve_reference_bisect(Weibull(u, b), d, t) == pytest.approx(vw, rel=1e-9)
 
 
+def _solve_or_none(solver, dist, d, t):
+    try:
+        return solver(dist, d, t)
+    except ReferenceSolverError:
+        return None
+
+
+def test_lognormal_normal_closed_forms_match_bisection():
+    rng = np.random.default_rng(12)
+    renormalized = 0
+    for _ in range(500):
+        u = float(rng.uniform(0.5, 5000.0))
+        t = float(rng.uniform(0.1, 10.0))
+        d = math.exp(float(rng.uniform(0.0, math.log(1e30))))
+        normal = Normal(u, u * float(rng.uniform(0.02, 0.6)))
+        renormalized += normal._renormalized
+        for dist in (LogNormal(math.log(u), float(rng.uniform(0.1, 3.0))), normal):
+            closed = _solve_or_none(solve_reference, dist, d, t)
+            generic = _solve_or_none(solve_reference_bisect, dist, d, t)
+            assert (closed is None) == (generic is None), (dist, d, t)
+            if closed is not None:
+                assert closed == pytest.approx(generic, rel=1e-9), (dist, d, t)
+    assert renormalized > 50
+
+
 @pytest.mark.parametrize("dist", FAMILIES, ids=lambda d: repr(d))
 def test_reference_scale_nonincreasing_in_d(dist):
     ds = [1.0, 1.2, 2.0, 5.0, 25.0, 400.0]
@@ -224,6 +249,8 @@ def test_solver_failure_when_scale_underflows():
     # so diffuse in log space that the required scale is below float range
     with pytest.raises(ReferenceSolverError):
         solve_reference_bisect(LogNormal(0.0, 50.0), 1e300, 1.0)
+    with pytest.raises(ReferenceSolverError):
+        solve_reference(LogNormal(0.0, 50.0), 1e300, 1.0)
 
 
 def test_survival_ratio_equals_d():
