@@ -168,18 +168,17 @@ def build_report(path, text, tree, config: RunConfig, estimate: Estimate, wall_s
     }
 
 
-def _print_search_table(rows, config: RunConfig, out):
-    print("d search (pilot runs of "
-          f"{config.prelim_cycles} cycles, target hit band "
-          f"[{config.ampos_low}, {config.ampos_high}])", file=out)
+def _print_search_table(rows, config, out):
+    prelim, low, high = config["prelim_cycles"], config["ampos_low"], config["ampos_high"]
+    print(f"d search (pilot runs of {prelim} cycles, target hit band [{low}, {high}])", file=out)
     print(f"  {'INPUT':<44}{'OUTPUT'}", file=out)
     print(f"  {'IC':<4}{'D_Dn':<14}{'D_Up':<14}{'D':<14}{'AmPos'}", file=out)
     for row in rows:
         d_up = "inf" if row["d_up"] is None else format_number(row["d_up"])
         ampos = row["ampos"]
-        if config.ampos_low <= ampos <= config.ampos_high:
+        if low <= ampos <= high:
             note = "accepted"
-        elif ampos < config.ampos_low:
+        elif ampos < low:
             note = "below band"
         else:
             note = "above band"
@@ -195,7 +194,7 @@ def _print_text_report(report, out=None):
     tree = report["tree"]
     print(f"tree: {tree['basic_events']} basic events, {tree['gates']} gates, top {tree['top']}", file=out)
     if report["search"] is not None:
-        _print_search_table(report["search"], _config_from_report(report), out)
+        _print_search_table(report["search"], report["config"], out)
     est = report["estimate"]
     if report["reference"] is not None:
         print(f"method: importance sampling (d = {format_number(report['reference']['d'])})", file=out)
@@ -215,21 +214,6 @@ def _print_text_report(report, out=None):
     for w in report["warnings"]:
         print(f"warning: {w}", file=out)
     print(f"wall clock: {report['wall_clock_seconds']:.3f} s", file=out)
-
-
-def _config_from_report(report) -> RunConfig:
-    c = report["config"]
-    return RunConfig(
-        mission_time=c["mission_time"],
-        cycles=c["cycles"],
-        prelim_cycles=c["prelim_cycles"],
-        ampos_low=c["ampos_low"],
-        ampos_high=c["ampos_high"],
-        confidence=c["confidence"],
-        seed=c["seed"],
-        max_search_iterations=c["max_search_iterations"],
-        method=c["method"],
-    )
 
 
 def _load_tree(path):

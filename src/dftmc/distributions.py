@@ -1,8 +1,9 @@
 """Lifetime distributions for basic events, and their scaled reference laws.
 
 Four families are supported: Exponential (parameterized by MTTF), Weibull,
-LogNormal and Normal.  Each family knows its density, CDF, survival function
-(kept in log space so values near 1e-300 stay meaningful), and quantile.
+LogNormal and Normal.  Each family knows its density, CDF and quantile.
+Survival is kept in log space only (``log_sf``; there is no linear-space
+survival method), so tail masses near 1e-300 stay meaningful.
 
 Importance sampling replaces a base law ``f`` by a scaled reference law
 ``g(t) = (1/a) * f(t/a)``, which is the same family with its scale parameter
@@ -77,9 +78,6 @@ class Exponential:
     def cdf(self, t):
         return -np.expm1(-np.asarray(t) / self.mttf)
 
-    def sf(self, t):
-        return np.exp(self.log_sf(t))
-
     def log_sf(self, t):
         return -np.asarray(t) / self.mttf
 
@@ -131,9 +129,6 @@ class Weibull:
     def cdf(self, t):
         z = np.asarray(t) / self.scale_param
         return -np.expm1(-(z**self.shape))
-
-    def sf(self, t):
-        return np.exp(self.log_sf(t))
 
     def log_sf(self, t):
         z = np.asarray(t) / self.scale_param
@@ -187,9 +182,6 @@ class LogNormal:
         safe = np.where(t > 0.0, t, 1.0)
         out = ndtr((np.log(safe) - self.mu) / self.sigma)
         return np.where(t > 0.0, out, 0.0)
-
-    def sf(self, t):
-        return np.exp(self.log_sf(t))
 
     def log_sf(self, t):
         t = np.asarray(t, dtype=float)
@@ -264,9 +256,6 @@ class Normal:
             out = (out - lo) / (1.0 - lo)
         return np.clip(np.where(t >= 0.0, out, 0.0), 0.0, 1.0)
 
-    def sf(self, t):
-        return np.exp(self.log_sf(t))
-
     def log_sf(self, t):
         t = np.asarray(t, dtype=float)
         out = log_ndtr(-(t - self.mean) / self.sd)
@@ -313,21 +302,6 @@ class ReferenceDistribution:
     base: Lifetime
     v: float
     law: Lifetime
-
-    def pdf(self, t):
-        return self.law.pdf(t)
-
-    def cdf(self, t):
-        return self.law.cdf(t)
-
-    def sf(self, t):
-        return self.law.sf(t)
-
-    def log_sf(self, t):
-        return self.law.log_sf(t)
-
-    def quantile(self, p):
-        return self.law.quantile(p)
 
     def _quantile01(self, p):
         return self.law._quantile01(p)

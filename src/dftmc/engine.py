@@ -7,6 +7,11 @@ the lumped tail-mass ratio (1-F(T))/(1-G(T)) for times beyond it.  By
 construction of the reference scales the tail factor equals the common
 drop parameter ``d`` for every event.
 
+There is one sampling-and-weight path, and it works on whole batches:
+``sample_times`` turns a matrix of uniforms into failure times and
+``log_weights`` turns a matrix of failure times into per-cycle log
+likelihood ratios.  No other code samples or weights cycles.
+
 All reference laws hang off a single knob ``d``; a preliminary search picks
 ``d`` so that the hit count over a small pilot run lands inside a target
 band, doubling ``d`` until bracketed and then interpolating log-count
@@ -39,8 +44,8 @@ __all__ = [
     "BatchTotals",
     "SearchError",
     "build_reference_model",
-    "draw_sample",
-    "cycle_weight",
+    "sample_times",
+    "log_weights",
     "run_batch",
     "select_reference",
     "estimate_top",
@@ -176,57 +181,51 @@ def _stream(seed: int, phase: int, batch_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key, counter=batch_index << 128))
 
 
-def draw_sample(refs: ReferenceModel, stream: np.random.Generator) -> np.ndarray:
-    """One failure-time vector, inverse-transformed from the reference laws.
+def sample_times(refs: ReferenceModel, u: np.ndarray) -> np.ndarray:
+    """Failure times for a ``(rows, events)`` matrix of uniforms in [0, 1).
 
-    Exactly one uniform is consumed per event, so the draw count per cycle
-    is fixed (this is what keeps counter-based substreams aligned).
+    Column i is inverse-transformed through event i's reference law.  Each
+    cycle consumes exactly one uniform per event, which keeps the
+    counter-based substreams aligned.
     """
-    u = stream.random(len(refs.refs))
-    return np.array([float(r._quantile01(u[i])) for i, r in enumerate(refs.refs)])
+    times = np.empty_like(u)
+    for i, ref in enumerate(refs.refs):
+        times[:, i] = ref._quantile01(u[:, i])
+    return times
 
 
-def cycle_weight(tree: FaultTree, sample, refs: ReferenceModel, mission_time: float) -> float:
-    """Likelihood ratio of one sampled cycle, accumulated in log space.
+def log_weights(refs: ReferenceModel, times: np.ndarray, mission_time: float) -> np.ndarray:
+    """Per-row log likelihood ratio of a ``(rows, events)`` times matrix.
 
     Every basic event contributes a factor: the density ratio f(t)/g(t) when
     its time is inside the mission window, the tail-mass ratio
     (1-F(T))/(1-G(T)) otherwise.
     """
-    if len(sample) != len(refs.refs):
-        raise ValueError("sample length does not match reference model")
-    if tuple(be.name for be in tree.basic_events) != refs.events:
-        raise ValueError("reference model does not match the tree's basic events")
-    parts = []
-    for t, ref in zip(sample, refs.refs):
-        if t < mission_time:
-            parts.append(float(ref.log_density_ratio(t)))
-        else:
-            parts.append(ref.log_survival_ratio(mission_time))
-    return math.exp(math.fsum(parts))
+    if times.shape[1] != len(refs.refs):
+        raise ValueError("times matrix width does not match reference model")
+    logw = np.zeros(times.shape[0])
+    # both branches are evaluated; an infinite time gives inf - inf in the
+    # density ratio, which the tail branch then replaces
+    with np.errstate(invalid="ignore"):
+        for i, ref in enumerate(refs.refs):
+            col = times[:, i]
+            logw += np.where(
+                col < mission_time,
+                ref.log_density_ratio(col),
+                ref.log_survival_ratio(mission_time),
+            )
+    return logw
 
 
 def _compute_batch(tree, refs, mission_time, weighted, seed, phase, batch_index, rows):
-    gen = _stream(seed, phase, batch_index)
-    n_events = len(refs.refs)
-    u = gen.random((rows, n_events))
-    times = np.empty_like(u)
-    for i, ref in enumerate(refs.refs):
-        times[:, i] = ref._quantile01(u[:, i])
+    u = _stream(seed, phase, batch_index).random((rows, len(refs.refs)))
+    times = sample_times(refs, u)
     top = batch_top_times(tree, times)
     indicator = top < mission_time
     hits = int(np.count_nonzero(indicator))
     if not weighted:
         return hits, float(hits), float(hits)
-    logw = np.zeros(rows)
-    for i, ref in enumerate(refs.refs):
-        col = times[:, i]
-        logw += np.where(
-            col < mission_time,
-            ref.log_density_ratio(col),
-            ref.log_survival_ratio(mission_time),
-        )
-    terms = np.where(indicator, np.exp(logw), 0.0)
+    terms = np.where(indicator, np.exp(log_weights(refs, times, mission_time)), 0.0)
     return hits, float(np.sum(terms)), float(np.sum(terms * terms))
 
 
@@ -247,6 +246,8 @@ def run_batch(
     """
     if n_cycles < 0:
         raise ValueError("n_cycles must be non-negative")
+    if tuple(be.name for be in tree.basic_events) != refs.events:
+        raise ValueError("reference model does not match the tree's basic events")
     n_batches = (n_cycles + BATCH - 1) // BATCH
     jobs = [
         (b, min(BATCH, n_cycles - b * BATCH))

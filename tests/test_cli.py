@@ -169,6 +169,27 @@ def test_report_warns_when_hit_weights_underflow(schema):
     assert f"warning: {report['warnings'][0]}" in out.getvalue()
 
 
+def test_text_search_table_reads_report_config(overlap_tree):
+    # the table's header and notes come from the report's own config block
+    config = RunConfig(
+        mission_time=1.0, cycles=2_000, prelim_cycles=500, ampos_low=20, ampos_high=40,
+        method="importance", fixed_d=2.0,
+    )
+    report = build_report("t.dft", "", overlap_tree, config, estimate_top(overlap_tree, config), 0.0)
+    report["search"] = [
+        {"ic": ic, "d_low": 1.0, "d_up": None, "d": float(ic), "ampos": ampos}
+        for ic, ampos in enumerate((0, 19, 20, 41, 40), start=1)
+    ]
+    out = io.StringIO()
+    _print_text_report(report, out)
+    lines = out.getvalue().splitlines()
+    assert "d search (pilot runs of 500 cycles, target hit band [20, 40])" in lines
+    notes = [line.split(maxsplit=4)[4] for line in lines if line.startswith("  ") and "(" in line]
+    assert notes == [
+        "0 (below band)", "19 (below band)", "20 (accepted)", "41 (above band)", "40 (accepted)"
+    ]
+
+
 def test_run_deterministic_across_threads(overlap_path):
     args = ["run", str(overlap_path), "--seed", "7", "--cycles", "20000", "--format", "json"]
     _, a, _ = run_cli(args + ["--threads", "1"])

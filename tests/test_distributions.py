@@ -112,8 +112,8 @@ def test_scale_identity_is_base():
     d = Exponential(1000.0)
     ref = scale(d, 1000.0)
     for t in (0.0, 0.5, 3.0, 800.0):
-        assert float(ref.pdf(t)) == pytest.approx(float(d.pdf(t)), rel=1e-12)
-        assert float(ref.cdf(t)) == pytest.approx(float(d.cdf(t)), rel=1e-12, abs=1e-15)
+        assert float(ref.law.pdf(t)) == pytest.approx(float(d.pdf(t)), rel=1e-12)
+        assert float(ref.law.cdf(t)) == pytest.approx(float(d.cdf(t)), rel=1e-12, abs=1e-15)
 
 
 def test_scale_exponential_moves_mttf():
@@ -138,7 +138,7 @@ def test_scaling_consistency(dist):
         t = float(rng.uniform(0.0, 3.0)) * dist.scale
         ref = scale(dist, a * dist.scale)
         expected = float(dist.pdf(t / a)) / a
-        assert float(ref.pdf(t)) == pytest.approx(expected, rel=1e-10, abs=1e-300)
+        assert float(ref.law.pdf(t)) == pytest.approx(expected, rel=1e-10, abs=1e-300)
 
 
 @pytest.mark.parametrize("dist", FAMILIES, ids=lambda d: repr(d))
@@ -159,7 +159,7 @@ def test_density_ratio_matches_pdf_quotient():
             t = float(rng.uniform(0.01, 2.0)) * dist.scale
             got = float(ref.log_density_ratio(t))
             assert math.isfinite(got)
-            fa, fb = float(dist.pdf(t)), float(ref.pdf(t))
+            fa, fb = float(dist.pdf(t)), float(ref.law.pdf(t))
             if fa > 0.0 and fb > 0.0:
                 # direct quotient only checkable where neither pdf underflows
                 assert got == pytest.approx(math.log(fa) - math.log(fb), rel=1e-9, abs=1e-9)

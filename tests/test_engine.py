@@ -8,9 +8,9 @@ from dftmc.distributions import Exponential, solve_reference
 from dftmc.engine import (
     SearchError,
     build_reference_model,
-    cycle_weight,
-    draw_sample,
+    log_weights,
     run_batch,
+    sample_times,
     select_reference,
     _propose_d,
     _stream,
@@ -55,11 +55,11 @@ def test_bad_config_rejected(kwargs):
 # -- sampling -----------------------------------------------------------------
 
 
-def test_draw_sample_deterministic():
+def test_sample_times_deterministic():
     tree = single_event_tree(Exponential(1000.0))
     model = build_reference_model(tree, 2.0, MISSION)
-    a = [draw_sample(model, _stream(9, 1, 0)) for _ in range(3)]
-    b = [draw_sample(model, _stream(9, 1, 0)) for _ in range(3)]
+    a = sample_times(model, _stream(9, 1, 0).random((3, 1)))
+    b = sample_times(model, _stream(9, 1, 0).random((3, 1)))
     assert [x[0] for x in a] == [x[0] for x in b]
 
 
@@ -72,26 +72,30 @@ def _ks_distance(draws, cdf):
     return max(upper, lower)
 
 
-def test_draw_sample_matches_base_law_at_d_one():
+def test_sample_times_match_base_law_at_d_one():
     dist = Exponential(1000.0)
     tree = single_event_tree(dist)
     model = build_reference_model(tree, 1.0, MISSION)
     gen = _stream(1234, 0, 0)
-    draws = np.array([draw_sample(model, gen)[0] for _ in range(100_000)])
+    draws = sample_times(model, gen.random((100_000, 1)))[:, 0]
     assert _ks_distance(draws, lambda t: np.asarray(dist.cdf(t))) < 0.01
 
 
-def test_draw_sample_matches_reference_law_at_d_two():
+def test_sample_times_match_reference_law_at_d_two():
     tree = single_event_tree(Exponential(1000.0))
     model = build_reference_model(tree, 2.0, MISSION)
     assert model.vs[0] == pytest.approx(1.44062, rel=1e-5)
     ref = Exponential(model.vs[0])
     gen = _stream(99, 0, 0)
-    draws = np.array([draw_sample(model, gen)[0] for _ in range(100_000)])
+    draws = sample_times(model, gen.random((100_000, 1)))[:, 0]
     assert _ks_distance(draws, lambda t: np.asarray(ref.cdf(t))) < 0.01
 
 
 # -- weights ------------------------------------------------------------------
+
+
+def _weights(model, times):
+    return np.exp(log_weights(model, np.asarray(times, dtype=float), MISSION))
 
 
 def test_weight_is_exactly_one_at_d_one():
@@ -99,9 +103,8 @@ def test_weight_is_exactly_one_at_d_one():
     tree = random_tree(rng, 5)
     model = build_reference_model(tree, 1.0, MISSION)
     gen = _stream(5, 0, 0)
-    for _ in range(200):
-        sample = draw_sample(model, gen)
-        assert cycle_weight(tree, sample, model, MISSION) == 1.0
+    times = sample_times(model, gen.random((200, len(model.refs))))
+    assert np.all(_weights(model, times) == 1.0)
 
 
 def test_tail_factor_equals_d():
@@ -110,16 +113,15 @@ def test_tail_factor_equals_d():
     for d in (1.5, 2.0, 7.0, 40.0):
         model = build_reference_model(tree, d, MISSION)
         # single event at or past the horizon: whole weight is the tail factor
-        for t in (MISSION, 2.0, 1e6, math.inf):
-            w = cycle_weight(tree, [t], model, MISSION)
-            assert w == pytest.approx(d, rel=1e-9)
+        w = _weights(model, [[MISSION], [2.0], [1e6], [math.inf]])
+        assert w == pytest.approx(np.full(4, d), rel=1e-9)
 
 
 def test_weight_of_all_tail_sample_is_d_to_n(overlap_tree):
     d = 2.0
     model = build_reference_model(overlap_tree, d, MISSION)
-    w = cycle_weight(overlap_tree, [5.0, 9.0, math.inf, 1.0e4], model, MISSION)
-    assert w == pytest.approx(d**4, rel=1e-9)
+    w = _weights(model, [[5.0, 9.0, math.inf, 1.0e4]])
+    assert w[0] == pytest.approx(d**4, rel=1e-9)
 
 
 def test_weight_factor_value_below_horizon():
@@ -131,15 +133,26 @@ def test_weight_factor_value_below_horizon():
     assert g == pytest.approx(0.49059, rel=1e-4)
     tree = single_event_tree(Exponential(u))
     model = build_reference_model(tree, 2.0, MISSION)
-    w = cycle_weight(tree, [t], model, MISSION)
+    w = _weights(model, [[t]])[0]
     assert w == pytest.approx(f / g, rel=1e-12)
     assert w == pytest.approx(2.037e-3, rel=1e-3)
 
 
-def test_cycle_weight_rejects_mismatched_sample(overlap_tree):
+def test_log_weights_rejects_mismatched_width(overlap_tree):
     model = build_reference_model(overlap_tree, 2.0, MISSION)
     with pytest.raises(ValueError):
-        cycle_weight(overlap_tree, [1.0], model, MISSION)
+        log_weights(model, np.array([[1.0]]), MISSION)
+
+
+def test_run_batch_rejects_model_of_another_tree():
+    x, y = BasicEvent("X", Exponential(1000.0)), BasicEvent("Y", Exponential(2000.0))
+    and_tree = validate(FaultTree((x, y, Gate("TOP", GateKind.AND, ("X", "Y"))), top="TOP"))
+    p, q = BasicEvent("P", Exponential(50.0)), BasicEvent("Q", Exponential(80.0))
+    or_tree = validate(FaultTree((p, q, Gate("TOP", GateKind.OR, ("P", "Q"))), top="TOP"))
+    # same width, other event names: the model must not be silently reused
+    model = build_reference_model(or_tree, 4.0, MISSION)
+    with pytest.raises(ValueError, match="basic events"):
+        run_batch(and_tree, model, RunConfig(mission_time=MISSION), 100_000)
 
 
 # -- batch runner -------------------------------------------------------------
