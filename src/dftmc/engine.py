@@ -187,11 +187,16 @@ def sample_times(refs: ReferenceModel, u: np.ndarray) -> np.ndarray:
     Column i is inverse-transformed through event i's reference law.  Each
     cycle consumes exactly one uniform per event, which keeps the
     counter-based substreams aligned.
+
+    The result has the shape of ``u`` but is stored event-major (a
+    transposed view of an ``(events, rows)`` buffer), so every event's
+    column is contiguous.  The uniforms are copied once into that buffer
+    and each event's row is inverted in place.
     """
-    times = np.empty_like(u)
+    buf = u.T.copy()
     for i, ref in enumerate(refs.refs):
-        times[:, i] = ref._quantile01(u[:, i])
-    return times
+        buf[i] = ref._quantile01(buf[i])
+    return buf.T
 
 
 def log_weights(refs: ReferenceModel, times: np.ndarray, mission_time: float) -> np.ndarray:
@@ -225,7 +230,10 @@ def _compute_batch(tree, refs, mission_time, weighted, seed, phase, batch_index,
     hits = int(np.count_nonzero(indicator))
     if not weighted:
         return hits, float(hits), float(hits)
-    terms = np.where(indicator, np.exp(log_weights(refs, times, mission_time)), 0.0)
+    # only hit rows are weighted; scattering them into zeros gives np.sum
+    # the same array, and so the same pairwise sum, as weighting every row
+    terms = np.zeros(rows)
+    terms[indicator] = np.exp(log_weights(refs, times[indicator], mission_time))
     return hits, float(np.sum(terms)), float(np.sum(terms * terms))
 
 

@@ -249,11 +249,44 @@ def top_time(tree: FaultTree, sample) -> float:
     return values[tree.top]
 
 
+def _kth_smallest(kids: list[np.ndarray], k: int) -> np.ndarray:
+    """Elementwise k-th smallest of equal-length arrays.
+
+    A selection by compare-exchanges: the running ``m`` smallest inputs
+    are kept in order, where ``m = k``, or, when shorter, the running
+    ``q - k + 1`` largest with min and max swapped.  ``np.minimum`` and
+    ``np.maximum`` return one of their inputs, so the result is exactly an
+    input value, as a sort would give.
+    """
+    q = len(kids)
+    if k <= q - k + 1:
+        low, high, m = np.minimum, np.maximum, k
+    else:
+        low, high, m = np.maximum, np.minimum, q - k + 1
+    kept: list[np.ndarray] = []
+    for x in kids:
+        n = len(kept)
+        for j in range(n):
+            if j == m - 1:
+                # the list is full: what is pushed past its end is dropped
+                kept[j] = low(kept[j], x)
+            else:
+                kept[j], x = low(kept[j], x), high(kept[j], x)
+        if n < m:
+            kept.append(x)
+    return kept[m - 1]
+
+
 def batch_top_times(tree: FaultTree, times: np.ndarray) -> np.ndarray:
     """Vectorized TOP failure times for a (cycles, basic_events) matrix.
 
     Semantically identical to calling :func:`top_time` row by row; used by
     the simulation engine where per-sample Python dispatch would dominate.
+    Every gate works elementwise on whole event columns, so any memory
+    layout gives the same result; the engine passes an event-major matrix
+    (a transposed ``(events, cycles)`` buffer), whose columns are
+    contiguous.  A vote gate is a min/max selection
+    (:func:`_kth_smallest`), not a sort.
     """
     if not tree._validated:
         raise ValidationError("tree must be validated before evaluation")
@@ -272,7 +305,7 @@ def batch_top_times(tree: FaultTree, times: np.ndarray) -> np.ndarray:
         elif node.kind is GateKind.AND:
             out = np.maximum.reduce(kids)
         elif node.kind is GateKind.VOTING:
-            out = np.sort(np.stack(kids, axis=0), axis=0)[node.k - 1]
+            out = _kth_smallest(kids, node.k)
         elif node.kind is GateKind.PAND:
             ordered = np.ones(times.shape[0], dtype=bool)
             for a, b in zip(kids, kids[1:]):

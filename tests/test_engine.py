@@ -3,9 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from dftmc import BasicEvent, FaultTree, Gate, GateKind, RunConfig, estimate_top, validate
+from dftmc import BasicEvent, FaultTree, Gate, GateKind, RunConfig, estimate_top, parse, to_fault_tree, validate
 from dftmc.distributions import Exponential, solve_reference
 from dftmc.engine import (
+    BATCH,
+    BatchTotals,
     SearchError,
     build_reference_model,
     log_weights,
@@ -15,9 +17,32 @@ from dftmc.engine import (
     _propose_d,
     _stream,
 )
+from dftmc.tree import batch_top_times
 from treegen import random_tree
 
 MISSION = 1.0
+
+# Five events of all four families: a vote over Weibull/LogNormal/Normal
+# (the Normal renormalized), a pand with an exp event, an or with a second
+# Normal.  TOP fails before T = 1 with probability about 5e-8.
+MIXED_DFT = """\
+dft 1
+mission_time 1.0
+be W weibull scale=20.0 shape=1.5
+be L lognormal mu=2.5 sigma=0.8
+be N normal mean=6.0 sd=1.5
+be X exp mttf=50.0
+be M normal mean=8.0 sd=1.2
+gate V vote:2 W L N
+gate P pand V X
+gate TOP or P M
+top TOP
+"""
+
+
+@pytest.fixture(scope="module")
+def mixed_tree():
+    return validate(to_fault_tree(parse(MIXED_DFT)))
 
 
 def single_event_tree(dist):
@@ -189,6 +214,48 @@ def test_run_batch_thread_invariance(overlap_tree):
     t1 = run_batch(overlap_tree, model, c1, 50_000)
     t4 = run_batch(overlap_tree, model, c4, 50_000)
     assert t1 == t4
+
+
+def _reference_totals(tree, model, config, n_cycles, phase):
+    """Totals the way the engine defines them, with no shortcut.
+
+    Times are inverted column by column into a row-major matrix, every
+    row is weighted, misses are zeroed with ``np.where``, and the block
+    sums are merged with ``np.sum`` and ``math.fsum``.
+    """
+    t = config.mission_time
+    hits, sums, sq_sums = 0, [], []
+    for b in range((n_cycles + BATCH - 1) // BATCH):
+        rows = min(BATCH, n_cycles - b * BATCH)
+        u = _stream(config.seed, phase, b).random((rows, len(model.refs)))
+        times = np.empty_like(u)
+        for i, ref in enumerate(model.refs):
+            times[:, i] = ref._quantile01(u[:, i])
+        indicator = batch_top_times(tree, times) < t
+        with np.errstate(over="ignore"):
+            weights = np.exp(log_weights(model, times, t))
+        terms = np.where(indicator, weights, 0.0)
+        hits += int(np.count_nonzero(indicator))
+        sums.append(float(np.sum(terms)))
+        sq_sums.append(float(np.sum(terms * terms)))
+    return BatchTotals(hits=hits, weight_sum=math.fsum(sums), weight_sq_sum=math.fsum(sq_sums), cycles=n_cycles)
+
+
+@pytest.mark.parametrize("d", [8.0, 2.0, 1.0])
+def test_run_batch_weights_equal_all_row_reference(mixed_tree, d):
+    # two full blocks and a short one; about 90% of rows hit at d = 8 and
+    # half at d = 2 (where summing only the hit terms would move low
+    # bits); at d = 1 no block has a hit, so every block's terms are zero
+    n_cycles = 2 * BATCH + 100
+    model = build_reference_model(mixed_tree, d, MISSION)
+    config = RunConfig(mission_time=MISSION, seed=4)
+    totals = run_batch(mixed_tree, model, config, n_cycles, phase=3)
+    reference = _reference_totals(mixed_tree, model, config, n_cycles, phase=3)
+    assert totals == reference
+    if d == 1.0:
+        assert (totals.hits, totals.weight_sum, totals.weight_sq_sum) == (0, 0.0, 0.0)
+    else:
+        assert 0 < totals.hits < n_cycles and totals.weight_sum > 0.0
 
 
 # -- reference search ---------------------------------------------------------
@@ -381,6 +448,34 @@ def test_estimate_deterministic(overlap_tree):
     assert a == b
     c = estimate_top(overlap_tree, RunConfig(mission_time=MISSION, seed=13, threads=8))
     assert (c.p_hat, c.std_err, c.hits) == (a.p_hat, a.std_err, a.hits)
+
+
+def test_estimates_match_golden_bits(overlap_tree, mixed_tree):
+    """p_hat, std_err and hits pinned bit for bit.
+
+    The values were recorded from the row-major batch kernel (each event a
+    strided column, vote gates by stack and sort, every row weighted)
+    before the event-major kernel replaced it.  That rework keeps the
+    stream, the formulas and the summation order, so these runs must not
+    move by one bit, at any thread count.
+    """
+    gen_tree = random_tree(np.random.default_rng(41), 30)
+    assert sum(g.kind is GateKind.VOTING for g in gen_tree.gates) == 3
+    runs = [
+        (overlap_tree, dict(mission_time=MISSION, method="importance", seed=0),
+         ("0x1.1379f8c701edbp-45", "0x1.13c077981df84p-51", 4581)),
+        (mixed_tree, dict(mission_time=MISSION, method="importance", seed=0),
+         ("0x1.e3a017fd6cbccp-25", "0x1.8fe3949610e3ap-27", 8288)),
+        (mixed_tree, dict(mission_time=MISSION, method="importance", seed=1),
+         ("0x1.84b153572420cp-25", "0x1.639047085707bp-27", 8302)),
+        # two blocks of 4096 cycles, run direct
+        (gen_tree, dict(mission_time=20.0, method="direct", seed=0, cycles=2 * BATCH),
+         ("0x1.1820000000000p-1", "0x1.687311356434fp-8", 4482)),
+    ]
+    for tree, kwargs, expected in runs:
+        for threads in (1, 2):
+            est = estimate_top(tree, RunConfig(threads=threads, **kwargs))
+            assert (est.p_hat.hex(), est.std_err.hex(), est.hits) == expected
 
 
 def test_estimate_requires_validated_tree():

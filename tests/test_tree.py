@@ -232,6 +232,24 @@ def test_batch_matches_scalar_on_random_trees():
             assert batch[j] == top_time(tree, times[j])
 
 
+def test_batch_vote_matches_scalar_in_both_layouts():
+    # a vote gate of every arity 1..6 and every threshold, over inputs
+    # drawn from a few values so ties, zeros and inf are common
+    rng = np.random.default_rng(37)
+    pool = np.array([0.0, 0.0, 0.25, 1.0, 1.0, 2.5, INF, INF])
+    for arity in range(1, 7):
+        names = tuple(f"E{i}" for i in range(arity))
+        times = pool[rng.integers(0, len(pool), size=(300, arity))]
+        times[::3] = rng.exponential(1.0, size=times[::3].shape)
+        for k in range(1, arity + 1):
+            tree = validate(FaultTree(tuple(be(n) for n in names) + (Gate("TOP", GateKind.VOTING, names, k=k),), top="TOP"))
+            by_row = batch_top_times(tree, times)
+            by_col = batch_top_times(tree, np.asfortranarray(times))
+            assert np.array_equal(by_row, by_col)
+            for j in range(times.shape[0]):
+                assert by_row[j] == top_time(tree, times[j])
+
+
 # -- propagation properties ---------------------------------------------------
 
 
