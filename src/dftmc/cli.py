@@ -227,7 +227,7 @@ def _load_tree(path):
 
 def _resolve_mission_time(args, doc) -> float:
     if getattr(args, "mission_time", None) is not None:
-        if args.mission_time <= 0:
+        if not (math.isfinite(args.mission_time) and args.mission_time > 0):
             raise ValidationError(f"mission time must be positive, got {args.mission_time}")
         return args.mission_time
     if doc.mission_time is not None:

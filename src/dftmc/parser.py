@@ -17,8 +17,10 @@ forward references between gates are allowed.  Every reported error carries
 a 1-based line (and column where meaningful).
 
 Serialization is canonical: header, mission time, basic events in
-declaration order, gates in a deterministic topological order, then the top
-line, all floats printed with full round-trip precision.
+declaration order, gates in :func:`dftmc.tree.validate`'s children-first
+order (which depends only on the graph below TOP, not on gate declaration
+order), then the top line, all floats printed with full round-trip
+precision.  Documents that compare equal serialize to the same text.
 """
 
 from __future__ import annotations
@@ -28,9 +30,9 @@ import re
 from dataclasses import dataclass, field
 
 from .distributions import Exponential, LogNormal, Normal, Weibull
-from .tree import BasicEvent, FaultTree, Gate, GateKind
+from .tree import BasicEvent, FaultTree, Gate, GateKind, validate
 
-__all__ = ["TreeDocument", "ParseError", "DocumentError", "parse", "serialize", "to_fault_tree"]
+__all__ = ["TreeDocument", "ParseError", "parse", "serialize", "to_fault_tree"]
 
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 _TOKEN = re.compile(r"\S+")
@@ -60,17 +62,13 @@ class ParseError(ValueError):
         super().__init__(f"{where}: {message}")
 
 
-class DocumentError(ValueError):
-    """A TreeDocument that violates its own invariants (e.g. for serialization)."""
-
-
 @dataclass
 class TreeDocument:
     """Parsed form of a ``.dft`` file.
 
     Basic-event order is significant (it fixes sample-vector indexing);
-    gates compare as an unordered collection since serialization reorders
-    them topologically.
+    gates compare as an unordered collection since serialization writes
+    them in validation's children-first order.
     """
 
     version: int = 1
@@ -263,25 +261,6 @@ def _parse_kind(token: str, lineno: int, col: int):
     raise ParseError(f"unknown gate kind {token!r}", lineno, col)
 
 
-def _check_document(doc: TreeDocument) -> dict[str, object]:
-    declared: dict[str, object] = {}
-    for node in list(doc.events) + list(doc.gates):
-        if node.name in declared:
-            raise DocumentError(f"duplicate node name: {node.name}")
-        declared[node.name] = node
-    for gate in doc.gates:
-        if not gate.children:
-            raise DocumentError(f"gate {gate.name} has no children")
-        for child in gate.children:
-            if child not in declared:
-                raise DocumentError(f"gate {gate.name} references undeclared node {child}")
-    if not doc.top:
-        raise DocumentError("document has no top")
-    if doc.top not in declared:
-        raise DocumentError(f"top references undeclared node {doc.top}")
-    return declared
-
-
 def _kind_token(gate: Gate) -> str:
     if gate.kind is GateKind.VOTING:
         return f"vote:{gate.k}"
@@ -301,45 +280,25 @@ def _be_line(be: BasicEvent) -> str:
     elif isinstance(d, Normal):
         params = f"normal mean={d.mean!r} sd={d.sd!r}"
     else:
-        raise DocumentError(f"basic event {be.name}: unknown distribution {type(d).__name__}")
+        raise TypeError(f"basic event {be.name}: unknown distribution {type(d).__name__}")
     return f"be {be.name} {params}"
 
 
 def serialize(doc: TreeDocument) -> str:
-    """Canonical text for a valid document.
+    """Canonical text for a document that :func:`dftmc.tree.validate` accepts.
 
-    Raises :class:`DocumentError` on structural problems (empty gates,
-    dangling references, gate cycles).
+    Raises :class:`dftmc.tree.ValidationError` on whatever ``dftmc check``
+    rejects (empty gates, dangling references, cycles, unreachable nodes).
     """
-    _check_document(doc)
+    tree = validate(to_fault_tree(doc))
     lines = ["dft 1"]
     if doc.mission_time is not None:
         lines.append(f"mission_time {doc.mission_time!r}")
-    for be in doc.events:
-        lines.append(_be_line(be))
-
-    # children-first gate order; scanning in declaration order keeps it stable
-    emitted: set[str] = set()
-    remaining = list(doc.gates)
-    gate_names = {g.name for g in doc.gates}
-    while remaining:
-        progressed = False
-        still = []
-        for gate in remaining:
-            if all(c not in gate_names or c in emitted for c in gate.children):
-                lines.append(
-                    f"gate {gate.name} {_kind_token(gate)} " + " ".join(gate.children)
-                )
-                emitted.add(gate.name)
-                progressed = True
-            else:
-                still.append(gate)
-        if not progressed:
-            raise DocumentError(
-                "gate cycle prevents serialization: " + ", ".join(g.name for g in still)
-            )
-        remaining = still
-
+    lines.extend(_be_line(be) for be in doc.events)
+    for name in tree._order:
+        node = tree.node(name)
+        if isinstance(node, Gate):
+            lines.append(f"gate {name} {_kind_token(node)} " + " ".join(node.children))
     lines.append(f"top {doc.top}")
     return "\n".join(lines) + "\n"
 

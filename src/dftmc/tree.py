@@ -159,10 +159,6 @@ def validate(tree: FaultTree) -> FaultTree:
         name, child_idx = stack.pop()
         node = by_name[name]
         if child_idx == 0:
-            if state.get(name) == 2:
-                continue
-            if state.get(name) == 1:
-                continue
             state[name] = 1
             path.append(name)
         children = node.children if isinstance(node, Gate) else ()

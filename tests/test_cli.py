@@ -222,6 +222,21 @@ def test_run_mission_time_flag_beats_file_value(overlap_path):
     assert json.loads(out)["config"]["mission_time"] == 0.5
 
 
+@pytest.mark.parametrize("value", ["inf", "nan", "0", "-1"])
+@pytest.mark.parametrize(
+    "command",
+    [["oracle", "static"], ["oracle", "overlap", "--family", "pand-overlap"], ["run", "overlap"]],
+    ids=["oracle-exact", "oracle-family", "run"],
+)
+def test_mission_time_flag_must_be_finite_and_positive(tmp_path, overlap_path, command, value):
+    files = {"static": write(tmp_path, "or2.dft", STATIC_OR2_DFT), "overlap": str(overlap_path)}
+    args = [command[0], files[command[1]], *command[2:], "--mission-time", value]
+    code, out, err = run_cli(args)
+    assert code == 3
+    assert out == ""
+    assert "mission" in err
+
+
 def test_run_bad_knobs(overlap_path):
     code, out, err = run_cli(["run", str(overlap_path), "--cycles", "10"])
     assert code == 3

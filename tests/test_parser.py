@@ -3,8 +3,8 @@ import pytest
 
 from dftmc import GateKind, ParseError, parse, serialize, to_fault_tree, validate
 from dftmc.distributions import Exponential, LogNormal, Normal, Weibull
-from dftmc.parser import DocumentError, TreeDocument
-from dftmc.tree import Gate
+from dftmc.parser import TreeDocument
+from dftmc.tree import Gate, ValidationError
 from conftest import OVERLAP_DFT
 from treegen import random_document
 
@@ -121,6 +121,13 @@ def test_serialize_orders_gates_topologically():
     lines = [l for l in text.splitlines() if l.startswith("gate")]
     assert lines.index("gate A or X Y") < lines.index("gate TOP and A B")
     assert lines.index("gate B or X Y") < lines.index("gate TOP and A B")
+    # an equal document with A and B declared the other way round
+    swapped = parse(
+        "dft 1\ngate TOP and A B\nbe X exp mttf=1\nbe Y exp mttf=1\n"
+        "gate B or X Y\ngate A or X Y\ntop TOP\n"
+    )
+    assert swapped == doc
+    assert serialize(swapped) == text
 
 
 def test_serialize_refuses_empty_gate():
@@ -129,14 +136,14 @@ def test_serialize_refuses_empty_gate():
         gates=[Gate("G", GateKind.AND, ())],
         top="G",
     )
-    with pytest.raises(DocumentError, match="no children"):
+    with pytest.raises(ValidationError, match="at least 2 children"):
         serialize(doc)
 
 
 def test_serialize_refuses_dangling_reference():
     doc = parse("dft 1\nbe X exp mttf=1\ntop X\n")
     doc.gates.append(Gate("G", GateKind.AND, ("X", "MISSING")))
-    with pytest.raises(DocumentError, match="undeclared"):
+    with pytest.raises(ValidationError, match="undeclared"):
         serialize(doc)
 
 
@@ -144,12 +151,15 @@ def test_serialize_refuses_gate_cycle():
     doc = parse("dft 1\nbe X exp mttf=1\ntop X\n")
     doc.gates.append(Gate("G1", GateKind.AND, ("X", "G2")))
     doc.gates.append(Gate("G2", GateKind.AND, ("X", "G1")))
-    with pytest.raises(DocumentError, match="cycle"):
+    doc.top = "G1"
+    with pytest.raises(ValidationError, match="cycle"):
         serialize(doc)
 
 
 def test_roundtrip_random_documents():
     rng = np.random.default_rng(101)
+    # a separate stream, so the documents drawn from rng stay the same
+    shuffle_rng = np.random.default_rng(202)
     for _ in range(60):
         doc = random_document(rng)
         text = serialize(doc)
@@ -158,3 +168,9 @@ def test_roundtrip_random_documents():
         # full-precision floats survive the trip exactly
         assert [e.dist for e in again.events] == [e.dist for e in doc.events]
         assert serialize(again) == text
+        # an equal document with its gates declared in another order
+        gates = list(doc.gates)
+        shuffle_rng.shuffle(gates)
+        shuffled = TreeDocument(doc.version, doc.mission_time, list(doc.events), gates, doc.top)
+        assert shuffled == doc
+        assert serialize(shuffled) == text
