@@ -248,17 +248,10 @@ def cmd_run(args) -> int:
     text, doc, tree = _load_tree(args.file)
     mission_time = _resolve_mission_time(args, doc)
     method = {"auto": "auto", "is": "importance", "direct": "direct"}[args.method]
-    config = RunConfig(
-        mission_time=mission_time,
-        cycles=args.cycles,
-        prelim_cycles=args.prelim_cycles,
-        ampos_low=args.ampos_low,
-        ampos_high=args.ampos_high,
-        confidence=args.confidence,
-        seed=args.seed,
-        method=method,
-        threads=args.threads,
-    )
+    # unset knobs are left out, so RunConfig alone owns their defaults
+    knobs = ("cycles", "prelim_cycles", "ampos_low", "ampos_high", "confidence", "seed", "threads")
+    given = {k: getattr(args, k) for k in knobs if getattr(args, k) is not None}
+    config = RunConfig(mission_time=mission_time, method=method, **given)
     started = time.perf_counter()
     estimate = estimate_top(tree, config)
     wall = time.perf_counter() - started
@@ -308,14 +301,14 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p_run.add_argument("file")
     p_run.add_argument("--mission-time", type=float, default=None,
                        help="overrides the file's mission_time")
-    p_run.add_argument("--cycles", type=int, default=100_000)
-    p_run.add_argument("--prelim-cycles", type=int, default=1_000)
-    p_run.add_argument("--ampos-low", type=int, default=10)
-    p_run.add_argument("--ampos-high", type=int, default=100)
-    p_run.add_argument("--confidence", type=float, default=0.999)
-    p_run.add_argument("--seed", type=int, default=0)
+    p_run.add_argument("--cycles", type=int)
+    p_run.add_argument("--prelim-cycles", type=int)
+    p_run.add_argument("--ampos-low", type=int)
+    p_run.add_argument("--ampos-high", type=int)
+    p_run.add_argument("--confidence", type=float)
+    p_run.add_argument("--seed", type=int)
     p_run.add_argument("--method", choices=["auto", "is", "direct"], default="auto")
-    p_run.add_argument("--threads", type=int, default=1)
+    p_run.add_argument("--threads", type=int)
     p_run.add_argument("--format", choices=["text", "json"], default="text")
     p_run.set_defaults(func=cmd_run)
 
@@ -341,7 +334,7 @@ def main(argv=None) -> int:
     except (UnsupportedTreeError, TreeTooLargeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_UNSUPPORTED
-    except (ValidationError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except SearchError as exc:

@@ -1,7 +1,9 @@
 """Lifetime distributions for basic events, and their scaled reference laws.
 
 Four families are supported: Exponential (parameterized by MTTF), Weibull,
-LogNormal and Normal.  Each family knows its density, CDF and quantile.
+LogNormal and Normal, on the :class:`Lifetime` base.  Each family knows its
+density, CDF and quantile, and declares its own ``.dft`` keyword and
+parameter names, which the parser reads and writes events through.
 Survival is kept in log space only (``log_sf``; there is no linear-space
 survival method), so tail masses near 1e-300 stay meaningful.
 
@@ -55,12 +57,32 @@ def _check_positive(value: float, name: str) -> None:
         raise ValueError(f"{name} must be a finite positive number, got {value!r}")
 
 
+class Lifetime:
+    """Base of the lifetime families; holds the checked ``quantile``.
+
+    ``family`` is the ``.dft`` keyword and ``keys`` the ``.dft`` parameter
+    names in dataclass-field order, so ``cls(*values)`` builds a law.
+    """
+
+    family: str
+    keys: tuple[str, ...]
+
+    def quantile(self, p):
+        """Lifetime at probability ``p``, which must lie strictly in (0, 1)."""
+        p = np.asarray(p, dtype=float)
+        if np.any(p <= 0.0) or np.any(p >= 1.0):
+            raise ValueError("quantile probability must lie strictly in (0, 1)")
+        out = self._quantile01(p)
+        return float(out) if out.ndim == 0 else out
+
+
 @dataclass(frozen=True)
-class Exponential:
+class Exponential(Lifetime):
     """Exponential lifetime with mean time to failure ``mttf``."""
 
     mttf: float
     family = "exp"
+    keys = ("mttf",)
 
     def __post_init__(self):
         _check_positive(self.mttf, "mttf")
@@ -85,9 +107,6 @@ class Exponential:
         # valid for p in [0, 1); p = 0 maps to 0
         return -self.mttf * np.log1p(-np.asarray(p))
 
-    def quantile(self, p):
-        return _checked_quantile(self, p)
-
     def log_density_ratio(self, other: "Exponential", t):
         # log(f(t)/g(t)) with g the same family at scale other.mttf;
         # written so the normalizing constants never under/overflow
@@ -96,12 +115,13 @@ class Exponential:
 
 
 @dataclass(frozen=True)
-class Weibull:
+class Weibull(Lifetime):
     """Weibull lifetime with characteristic life ``scale_param`` and shape."""
 
     scale_param: float
     shape: float
     family = "weibull"
+    keys = ("scale", "shape")
 
     def __post_init__(self):
         _check_positive(self.scale_param, "scale")
@@ -137,9 +157,6 @@ class Weibull:
     def _quantile01(self, p):
         return self.scale_param * (-np.log1p(-np.asarray(p))) ** (1.0 / self.shape)
 
-    def quantile(self, p):
-        return _checked_quantile(self, p)
-
     def log_density_ratio(self, other: "Weibull", t):
         if other.shape != self.shape:
             raise ValueError("density ratio requires matching Weibull shapes")
@@ -150,12 +167,13 @@ class Weibull:
 
 
 @dataclass(frozen=True)
-class LogNormal:
+class LogNormal(Lifetime):
     """LogNormal lifetime: log of the failure time is Normal(mu, sigma)."""
 
     mu: float
     sigma: float
     family = "lognormal"
+    keys = ("mu", "sigma")
 
     def __post_init__(self):
         if not math.isfinite(self.mu):
@@ -193,9 +211,6 @@ class LogNormal:
         with np.errstate(divide="ignore"):
             return np.exp(self.mu + self.sigma * ndtri(np.asarray(p)))
 
-    def quantile(self, p):
-        return _checked_quantile(self, p)
-
     def log_density_ratio(self, other: "LogNormal", t):
         if other.sigma != self.sigma:
             raise ValueError("density ratio requires matching LogNormal sigmas")
@@ -208,7 +223,7 @@ class LogNormal:
 
 
 @dataclass(frozen=True)
-class Normal:
+class Normal(Lifetime):
     """Normal lifetime truncated to non-negative times.
 
     The mean acts as the scale parameter.  When the mass below zero exceeds
@@ -219,6 +234,7 @@ class Normal:
     mean: float
     sd: float
     family = "normal"
+    keys = ("mean", "sd")
 
     def __post_init__(self):
         _check_positive(self.mean, "mean")
@@ -272,9 +288,6 @@ class Normal:
             q = self.mean + self.sd * ndtri(p)
         return np.maximum(q, 0.0)
 
-    def quantile(self, p):
-        return _checked_quantile(self, p)
-
     def log_density_ratio(self, other: "Normal", t):
         t = np.asarray(t, dtype=float)
         # both laws truncate the same relative mass (m/s is scale-invariant),
@@ -282,17 +295,6 @@ class Normal:
         za = (t - self.mean) / self.sd
         zb = (t - other.mean) / other.sd
         return math.log(other.sd / self.sd) + 0.5 * (zb * zb - za * za)
-
-
-Lifetime = Exponential | Weibull | LogNormal | Normal
-
-
-def _checked_quantile(dist, p):
-    p = np.asarray(p, dtype=float)
-    if np.any(p <= 0.0) or np.any(p >= 1.0):
-        raise ValueError("quantile probability must lie strictly in (0, 1)")
-    out = dist._quantile01(p)
-    return float(out) if out.ndim == 0 else out
 
 
 @dataclass(frozen=True)

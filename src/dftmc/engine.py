@@ -108,6 +108,8 @@ class RunConfig:
             raise ValueError("max_search_iterations must be at least 1")
         if self.fixed_d is not None and not (math.isfinite(self.fixed_d) and self.fixed_d >= 1.0):
             raise ValueError(f"fixed_d must be >= 1, got {self.fixed_d!r}")
+        if self.fixed_d is not None and self.method != "importance":
+            raise ValueError(f"fixed_d needs method 'importance', got {self.method!r}")
 
 
 @dataclass(frozen=True)

@@ -16,40 +16,35 @@ The header line must come first.  Declarations may appear in any order;
 forward references between gates are allowed.  Every reported error carries
 a 1-based line (and column where meaningful).
 
+Family keywords and parameter names come from the lifetime classes
+(``family``, ``keys``), bare gate keywords from :class:`dftmc.tree.GateKind`.
+
 Serialization is canonical: header, mission time, basic events in
 declaration order, gates in :func:`dftmc.tree.validate`'s children-first
 order (which depends only on the graph below TOP, not on gate declaration
 order), then the top line, all floats printed with full round-trip
-precision.  Documents that compare equal serialize to the same text.
+precision.  Documents that compare equal serialize to the same text, and
+:func:`serialize` refuses a document whose text :func:`parse` would not read
+back as an equal document, so the parser alone judges what text is valid.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .distributions import Exponential, LogNormal, Normal, Weibull
-from .tree import BasicEvent, FaultTree, Gate, GateKind, validate
+from .tree import BasicEvent, FaultTree, Gate, GateKind, ValidationError, validate
 
 __all__ = ["TreeDocument", "ParseError", "parse", "serialize", "to_fault_tree"]
 
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 _TOKEN = re.compile(r"\S+")
 
-_FAMILY_PARAMS = {
-    "exp": ("mttf",),
-    "weibull": ("scale", "shape"),
-    "lognormal": ("mu", "sigma"),
-    "normal": ("mean", "sd"),
-}
+_FAMILIES = {cls.family: cls for cls in (Exponential, Weibull, LogNormal, Normal)}
 
-_KIND_KEYWORDS = {
-    "and": GateKind.AND,
-    "or": GateKind.OR,
-    "pand": GateKind.PAND,
-    "seq": GateKind.SEQ,
-}
+_KIND_KEYWORDS = {k.value: k for k in (GateKind.AND, GateKind.OR, GateKind.PAND, GateKind.SEQ)}
 
 
 class ParseError(ValueError):
@@ -162,18 +157,12 @@ def parse(text: str) -> TreeDocument:
                     toks[1][1],
                 )
             family, fam_col = toks[2]
-            if family not in _FAMILY_PARAMS:
+            cls = _FAMILIES.get(family)
+            if cls is None:
                 raise ParseError(f"unknown distribution family {family!r}", lineno, fam_col)
-            params = _parse_params(toks[3:], _FAMILY_PARAMS[family], lineno, family)
+            params = _parse_params(toks[3:], cls.keys, lineno, family)
             try:
-                if family == "exp":
-                    dist = Exponential(params["mttf"])
-                elif family == "weibull":
-                    dist = Weibull(params["scale"], params["shape"])
-                elif family == "lognormal":
-                    dist = LogNormal(params["mu"], params["sigma"])
-                else:
-                    dist = Normal(params["mean"], params["sd"])
+                dist = cls(*(params[k] for k in cls.keys))
             except ValueError as exc:
                 raise ParseError(f"invalid {family} parameters: {exc}", lineno, fam_col) from None
             doc.events.append(BasicEvent(name, dist))
@@ -271,24 +260,20 @@ def _kind_token(gate: Gate) -> str:
 
 def _be_line(be: BasicEvent) -> str:
     d = be.dist
-    if isinstance(d, Exponential):
-        params = f"exp mttf={d.mttf!r}"
-    elif isinstance(d, Weibull):
-        params = f"weibull scale={d.scale_param!r} shape={d.shape!r}"
-    elif isinstance(d, LogNormal):
-        params = f"lognormal mu={d.mu!r} sigma={d.sigma!r}"
-    elif isinstance(d, Normal):
-        params = f"normal mean={d.mean!r} sd={d.sd!r}"
-    else:
+    if type(d) is not _FAMILIES.get(getattr(d, "family", None)):
         raise TypeError(f"basic event {be.name}: unknown distribution {type(d).__name__}")
-    return f"be {be.name} {params}"
+    params = " ".join(f"{k}={getattr(d, f.name)!r}" for k, f in zip(d.keys, fields(d)))
+    return f"be {be.name} {d.family} {params}"
 
 
 def serialize(doc: TreeDocument) -> str:
-    """Canonical text for a document that :func:`dftmc.tree.validate` accepts.
+    """Canonical text for a document that ``dftmc check`` accepts.
 
-    Raises :class:`dftmc.tree.ValidationError` on whatever ``dftmc check``
-    rejects (empty gates, dangling references, cycles, unreachable nodes).
+    Raises :class:`dftmc.tree.ValidationError` on a document that
+    :func:`dftmc.tree.validate` rejects (empty gates, dangling references,
+    cycles, unreachable nodes) or whose text :func:`parse` would not read
+    back as an equal document (a non-finite mission time, a bad identifier,
+    a parameter the text has no place for, such as ``k`` on an ``and`` gate).
     """
     tree = validate(to_fault_tree(doc))
     lines = ["dft 1"]
@@ -300,7 +285,14 @@ def serialize(doc: TreeDocument) -> str:
         if isinstance(node, Gate):
             lines.append(f"gate {name} {_kind_token(node)} " + " ".join(node.children))
     lines.append(f"top {doc.top}")
-    return "\n".join(lines) + "\n"
+    text = "\n".join(lines) + "\n"
+    try:
+        again = parse(text)
+    except ParseError as exc:
+        raise ValidationError(f"document has no valid .dft text: {exc}") from None
+    if again != doc:
+        raise ValidationError("document does not read back equal from its .dft text")
+    return text
 
 
 def to_fault_tree(doc: TreeDocument) -> FaultTree:

@@ -124,6 +124,14 @@ def test_run_json_schema_and_values(overlap_path, schema):
     assert report["search"][0] == {"ic": 1, "d_low": 1.0, "d_up": None, "d": 1.0, "ampos": 0}
 
 
+def test_run_without_knob_flags_uses_runconfig_defaults(overlap_path):
+    code, out, err = run_cli(["run", str(overlap_path), "--format", "json"])
+    assert code == 0
+    config = json.loads(out)["config"]
+    defaults = RunConfig(mission_time=config["mission_time"])
+    assert config == {key: getattr(defaults, key) for key in config}
+
+
 def test_run_text_and_json_numbers_match(overlap_path):
     _, text, _ = run_cli(["run", str(overlap_path), "--seed", "3"])
     _, raw, _ = run_cli(["run", str(overlap_path), "--seed", "3", "--format", "json"])

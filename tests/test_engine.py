@@ -70,6 +70,9 @@ def exp_with_p(p):
         dict(mission_time=1.0, method="bogus"),
         dict(mission_time=1.0, threads=0),
         dict(mission_time=1.0, fixed_d=0.5),
+        # fixed_d skips the search, which only importance sampling runs
+        dict(mission_time=0.01, fixed_d=4.0),
+        dict(mission_time=0.01, method="direct", fixed_d=4.0),
     ],
 )
 def test_bad_config_rejected(kwargs):

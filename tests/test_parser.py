@@ -1,10 +1,14 @@
+import json
+import math
+from importlib import resources
+
 import numpy as np
 import pytest
 
 from dftmc import GateKind, ParseError, parse, serialize, to_fault_tree, validate
 from dftmc.distributions import Exponential, LogNormal, Normal, Weibull
-from dftmc.parser import TreeDocument
-from dftmc.tree import Gate, ValidationError
+from dftmc.parser import _FAMILIES, TreeDocument
+from dftmc.tree import BasicEvent, Gate, ValidationError
 from conftest import OVERLAP_DFT
 from treegen import random_document
 
@@ -154,6 +158,44 @@ def test_serialize_refuses_gate_cycle():
     doc.top = "G1"
     with pytest.raises(ValidationError, match="cycle"):
         serialize(doc)
+
+
+@pytest.mark.parametrize("mission_time", [math.nan, math.inf, 0.0, -1.0])
+def test_serialize_refuses_mission_time_parse_rejects(mission_time):
+    doc = parse("dft 1\nbe X exp mttf=1\ntop X\n")
+    doc.mission_time = mission_time
+    with pytest.raises(ValidationError, match="mission_time must be positive"):
+        serialize(doc)
+
+
+def test_serialize_refuses_bad_identifier():
+    doc = TreeDocument(events=[BasicEvent("1A", Exponential(1.0))], top="1A")
+    with pytest.raises(ValidationError, match="invalid identifier"):
+        serialize(doc)
+
+
+def test_serialize_refuses_parameter_text_cannot_carry():
+    # "gate G and X Y" has no place for k, so it would read back with k=None
+    doc = parse("dft 1\nbe X exp mttf=1\nbe Y exp mttf=2\ngate G and X Y\ntop G\n")
+    doc.gates[0] = Gate("G", GateKind.AND, ("X", "Y"), k=2)
+    with pytest.raises(ValidationError, match="read back equal"):
+        serialize(doc)
+
+
+def test_serialize_refuses_unknown_distribution():
+    class Exp2(Exponential):
+        pass
+
+    for dist in (object(), Exp2(1.0)):
+        doc = TreeDocument(events=[BasicEvent("X", dist)], top="X")
+        with pytest.raises(TypeError, match="unknown distribution"):
+            serialize(doc)
+
+
+def test_report_schema_lists_the_parser_families():
+    schema = json.loads(resources.files("dftmc").joinpath("report_schema.json").read_text())
+    event = schema["properties"]["reference"]["oneOf"][1]["properties"]["events"]["items"]
+    assert sorted(event["properties"]["family"]["enum"]) == sorted(_FAMILIES)
 
 
 def test_roundtrip_random_documents():
