@@ -176,8 +176,9 @@ class LogNormal(Lifetime):
     keys = ("mu", "sigma")
 
     def __post_init__(self):
-        if not math.isfinite(self.mu):
-            raise ValueError(f"mu must be finite, got {self.mu!r}")
+        # the median exp(mu) is the scale every reference law starts from
+        if not (math.isfinite(self.mu) and self.mu <= _MAX_LOG and math.exp(self.mu) > 0.0):
+            raise ValueError(f"mu must give a finite positive median exp(mu), got {self.mu!r}")
         _check_positive(self.sigma, "sigma")
 
     @property

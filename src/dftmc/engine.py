@@ -397,7 +397,7 @@ def estimate_top(tree: FaultTree, config: RunConfig) -> Estimate:
     trace: SearchTrace | None = None
     if config.method == "direct":
         pass
-    elif config.method == "importance" and config.fixed_d is not None:
+    elif config.fixed_d is not None:
         model = build_reference_model(tree, config.fixed_d, config.mission_time)
     else:
         model, trace = select_reference(tree, config)

@@ -50,9 +50,8 @@ def exact_static(tree: FaultTree, mission_time: float) -> ExactStaticResult:
     time" with probability p_i = F_i(T); every one of the 2^N joint states
     is weighted by its product mass and the tree is evaluated Boolean-wise.
     """
-    if not tree.validated:
-        raise ValueError("tree must be validated first")
-    for gate in tree.gates:
+    gates = tree.gate_order
+    for gate in gates:
         if gate.kind not in _STATIC_KINDS:
             raise UnsupportedTreeError(
                 f"gate {gate.name}: {gate.kind.value} is dynamic; exact enumeration "
@@ -73,18 +72,15 @@ def exact_static(tree: FaultTree, mission_time: float) -> ExactStaticResult:
     states: dict[str, np.ndarray] = {}
     for i, be in enumerate(events):
         states[be.name] = np.tile(np.repeat(np.array([False, True]), 2 ** (n - 1 - i)), 2**i)
-    for name in tree._order:
-        node = tree.node(name)
-        if isinstance(node, BasicEvent):
-            continue
-        kids = [states[c] for c in node.children]
-        if node.kind is GateKind.AND:
-            states[name] = np.logical_and.reduce(kids)
-        elif node.kind is GateKind.OR:
-            states[name] = np.logical_or.reduce(kids)
+    for gate in gates:
+        kids = [states[c] for c in gate.children]
+        if gate.kind is GateKind.AND:
+            states[gate.name] = np.logical_and.reduce(kids)
+        elif gate.kind is GateKind.OR:
+            states[gate.name] = np.logical_or.reduce(kids)
         else:
             counts = np.add.reduce([k.astype(np.int64) for k in kids])
-            states[name] = counts >= node.k
+            states[gate.name] = counts >= gate.k
 
     probability = float(np.sum(mass[states[tree.top]]))
     return ExactStaticResult(probability=probability, term_count=2**n)

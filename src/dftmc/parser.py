@@ -280,10 +280,8 @@ def serialize(doc: TreeDocument) -> str:
     if doc.mission_time is not None:
         lines.append(f"mission_time {doc.mission_time!r}")
     lines.extend(_be_line(be) for be in doc.events)
-    for name in tree._order:
-        node = tree.node(name)
-        if isinstance(node, Gate):
-            lines.append(f"gate {name} {_kind_token(node)} " + " ".join(node.children))
+    for gate in tree.gate_order:
+        lines.append(f"gate {gate.name} {_kind_token(gate)} " + " ".join(gate.children))
     lines.append(f"top {doc.top}")
     text = "\n".join(lines) + "\n"
     try:

@@ -14,6 +14,11 @@ fails".  Gate outputs from input times z1..zq:
 Child order is significant for pand, seq and spare.  Nodes may be shared
 (one node feeding several gates); evaluation visits each node once per
 sample.
+
+:func:`validate` owns the evaluation order, :attr:`FaultTree.gate_order`.
+Every walker seeds the basic events by position from
+:attr:`FaultTree.basic_events`, then visits ``gate_order``, whose read is
+also the one check that the tree was validated.
 """
 
 from __future__ import annotations
@@ -74,16 +79,15 @@ class Gate:
 class FaultTree:
     """Ordered node set plus the name of the TOP node.
 
-    Construct, then call :func:`validate` before evaluating.  Basic events
-    keep their declaration order; sample vectors are indexed accordingly.
+    Construct, then call :func:`validate`, which sets :attr:`gate_order`.
+    Basic events keep their declaration order, and sample vectors are
+    indexed by position in :attr:`basic_events`.
     """
 
     nodes: tuple[BasicEvent | Gate, ...]
     top: str
-    _validated: bool = field(default=False, repr=False, compare=False)
     _by_name: dict = field(default_factory=dict, repr=False, compare=False)
-    _order: tuple[str, ...] = field(default=(), repr=False, compare=False)
-    _be_index: dict = field(default_factory=dict, repr=False, compare=False)
+    _gate_order: tuple[Gate, ...] | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         self.nodes = tuple(self.nodes)
@@ -98,7 +102,17 @@ class FaultTree:
 
     @property
     def validated(self) -> bool:
-        return self._validated
+        return self._gate_order is not None
+
+    @property
+    def gate_order(self) -> tuple[Gate, ...]:
+        """The gates in children-first order, a gate at TOP last.
+
+        Raises :class:`ValidationError` until :func:`validate` has run.
+        """
+        if self._gate_order is None:
+            raise ValidationError("tree must be validated before evaluation")
+        return self._gate_order
 
     def node(self, name: str) -> BasicEvent | Gate:
         return self._by_name[name]
@@ -151,7 +165,7 @@ def validate(tree: FaultTree) -> FaultTree:
 
     # Iterative DFS from TOP: detects cycles (naming the cycle) and yields a
     # children-first evaluation order.
-    order: list[str] = []
+    gate_order: list[Gate] = []
     state: dict[str, int] = {}  # 1 = on stack, 2 = done
     stack: list[tuple[str, int]] = [(tree.top, 0)]
     path: list[str] = []
@@ -174,18 +188,15 @@ def validate(tree: FaultTree) -> FaultTree:
         else:
             state[name] = 2
             path.pop()
-            order.append(name)
+            if isinstance(node, Gate):
+                gate_order.append(node)
 
     unreachable = [n.name for n in tree.nodes if state.get(n.name) != 2]
     if unreachable:
         raise ValidationError("nodes unreachable from top: " + ", ".join(unreachable))
 
     tree._by_name = by_name
-    tree._order = tuple(order)
-    tree._be_index = {
-        be.name: i for i, be in enumerate(tree.basic_events)
-    }
-    tree._validated = True
+    tree._gate_order = tuple(gate_order)
     return tree
 
 
@@ -224,24 +235,20 @@ def top_time(tree: FaultTree, sample) -> float:
     ``sample`` is indexed like ``tree.basic_events``.  Shared subtrees are
     evaluated once.  Requires a validated tree.
     """
-    if not tree._validated:
-        raise ValidationError("tree must be validated before evaluation")
-    if len(sample) != len(tree._be_index):
+    gates = tree.gate_order
+    events = tree.basic_events
+    if len(sample) != len(events):
         raise ValueError(
-            f"sample has {len(sample)} entries, tree has {len(tree._be_index)} basic events"
+            f"sample has {len(sample)} entries, tree has {len(events)} basic events"
         )
-    values: dict[str, float] = {}
-    for name in tree._order:
-        node = tree._by_name[name]
-        if isinstance(node, BasicEvent):
-            values[name] = float(sample[tree._be_index[name]])
-        else:
-            values[name] = eval_gate(
-                node.kind,
-                [values[c] for c in node.children],
-                k=node.k,
-                dormancy=node.dormancy,
-            )
+    values = {be.name: float(t) for be, t in zip(events, sample)}
+    for gate in gates:
+        values[gate.name] = eval_gate(
+            gate.kind,
+            [values[c] for c in gate.children],
+            k=gate.k,
+            dormancy=gate.dormancy,
+        )
     return values[tree.top]
 
 
@@ -284,17 +291,13 @@ def batch_top_times(tree: FaultTree, times: np.ndarray) -> np.ndarray:
     contiguous.  A vote gate is a min/max selection
     (:func:`_kth_smallest`), not a sort.
     """
-    if not tree._validated:
-        raise ValidationError("tree must be validated before evaluation")
+    gates = tree.gate_order
+    events = tree.basic_events
     times = np.asarray(times, dtype=float)
-    if times.ndim != 2 or times.shape[1] != len(tree._be_index):
+    if times.ndim != 2 or times.shape[1] != len(events):
         raise ValueError("times must have one column per basic event")
-    values: dict[str, np.ndarray] = {}
-    for name in tree._order:
-        node = tree._by_name[name]
-        if isinstance(node, BasicEvent):
-            values[name] = times[:, tree._be_index[name]]
-            continue
+    values = {be.name: times[:, i] for i, be in enumerate(events)}
+    for node in gates:
         kids = [values[c] for c in node.children]
         if node.kind is GateKind.OR:
             out = np.minimum.reduce(kids)
@@ -320,5 +323,5 @@ def batch_top_times(tree: FaultTree, times: np.ndarray) -> np.ndarray:
                 out = np.where(z2 < a * z1, z1, (1.0 - a) * z1 + z2)
         else:
             raise ValueError(f"unknown gate kind: {node.kind}")
-        values[name] = out
+        values[node.name] = out
     return values[tree.top]

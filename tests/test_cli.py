@@ -257,6 +257,36 @@ def test_run_search_failure_dumps_trace(tmp_path):
     assert "IC=30" in err
 
 
+REFERENCE_FAILURE_DFT = """dft 1
+mission_time 1.0
+be X exp mttf=5.0
+be Y exp mttf=5.0
+be L lognormal mu=0.0 sigma=200.0
+gate S seq X Y
+gate P pand S X
+gate TOP and P L
+top TOP
+"""
+
+
+def test_run_reference_solver_failure_exits_4(tmp_path):
+    # the search doubles d until the reference scale of L leaves the float range
+    path = write(tmp_path, "reference.dft", REFERENCE_FAILURE_DFT)
+    code, out, err = run_cli(["run", path])
+    assert code == 4
+    assert out == ""
+    assert err.startswith("error: event L: reference scale for a survival drop of 8192.0")
+
+
+@pytest.mark.parametrize("mu", ["800", "-800"])
+def test_run_lognormal_median_out_of_float_range_is_a_parse_error(tmp_path, mu):
+    text = f"dft 1\nmission_time 1\nbe A lognormal mu={mu} sigma=1\nbe B exp mttf=10\ngate TOP or A B\ntop TOP\n"
+    code, out, err = run_cli(["run", write(tmp_path, "median.dft", text)])
+    assert code == 2
+    assert out == ""
+    assert "line 3" in err
+
+
 # -- oracle -------------------------------------------------------------------
 
 

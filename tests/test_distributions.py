@@ -98,6 +98,8 @@ def test_cdf_nondecreasing(dist):
         lambda: LogNormal(0.0, 0.0),
         lambda: Normal(1.0, -1.0),
         lambda: Normal(0.0, 1.0),
+        lambda: LogNormal(800.0, 1.0),
+        lambda: LogNormal(-800.0, 1.0),
     ],
 )
 def test_invalid_parameters_rejected(bad):
