@@ -26,7 +26,7 @@ from collections import Counter
 
 from . import __version__
 from .distributions import ReferenceSolverError
-from .engine import Estimate, RunConfig, SearchError, SearchTrace, estimate_top
+from .engine import MAX_SEARCH_ITERATIONS, Estimate, RunConfig, SearchError, SearchTrace, estimate_top
 from .oracle import (
     TreeTooLargeError,
     UnsupportedTreeError,
@@ -108,6 +108,22 @@ def _trace_rows(trace: SearchTrace | None):
     ]
 
 
+def _config_block(config: RunConfig):
+    # threads is an execution detail with no effect on results, so it is
+    # left out: reports are byte-identical for any worker count
+    return {
+        "mission_time": config.mission_time,
+        "cycles": config.cycles,
+        "prelim_cycles": config.prelim_cycles,
+        "ampos_low": config.ampos_low,
+        "ampos_high": config.ampos_high,
+        "confidence": config.confidence,
+        "seed": config.seed,
+        "max_search_iterations": MAX_SEARCH_ITERATIONS,
+        "method": config.method,
+    }
+
+
 def build_report(path, text, tree, config: RunConfig, estimate: Estimate, wall_seconds: float):
     gate_counts = Counter(g.kind.value for g in tree.gates)
     warnings = []
@@ -137,19 +153,7 @@ def build_report(path, text, tree, config: RunConfig, estimate: Estimate, wall_s
             "gate_counts": dict(sorted(gate_counts.items())),
             "top": tree.top,
         },
-        # threads is an execution detail with no effect on results, so it is
-        # left out: reports are byte-identical for any worker count
-        "config": {
-            "mission_time": config.mission_time,
-            "cycles": config.cycles,
-            "prelim_cycles": config.prelim_cycles,
-            "ampos_low": config.ampos_low,
-            "ampos_high": config.ampos_high,
-            "confidence": config.confidence,
-            "seed": config.seed,
-            "max_search_iterations": config.max_search_iterations,
-            "method": config.method,
-        },
+        "config": _config_block(config),
         "search": _trace_rows(estimate.trace),
         "reference": reference,
         "estimate": {
@@ -168,16 +172,21 @@ def build_report(path, text, tree, config: RunConfig, estimate: Estimate, wall_s
     }
 
 
-def _print_search_table(rows, config, out):
+def _print_search_table(rows, config, out, method=None):
+    """The d search as a table; ``method`` is the run's, None for a failed search.
+
+    The last row of a finished search decided the run and is labelled by
+    its method.  Every other row missed the band, on one side or the other.
+    """
     prelim, low, high = config["prelim_cycles"], config["ampos_low"], config["ampos_high"]
     print(f"d search (pilot runs of {prelim} cycles, target hit band [{low}, {high}])", file=out)
     print(f"  {'INPUT':<44}{'OUTPUT'}", file=out)
     print(f"  {'IC':<4}{'D_Dn':<14}{'D_Up':<14}{'D':<14}{'AmPos'}", file=out)
-    for row in rows:
+    for i, row in enumerate(rows, start=1):
         d_up = "inf" if row["d_up"] is None else format_number(row["d_up"])
         ampos = row["ampos"]
-        if low <= ampos <= high:
-            note = "accepted"
+        if method is not None and i == len(rows):
+            note = "accepted" if method == "importance" else "direct"
         elif ampos < low:
             note = "below band"
         else:
@@ -194,7 +203,7 @@ def _print_text_report(report, out=None):
     tree = report["tree"]
     print(f"tree: {tree['basic_events']} basic events, {tree['gates']} gates, top {tree['top']}", file=out)
     if report["search"] is not None:
-        _print_search_table(report["search"], report["config"], out)
+        _print_search_table(report["search"], report["config"], out, report["estimate"]["method"])
     est = report["estimate"]
     if report["reference"] is not None:
         print(f"method: importance sampling (d = {format_number(report['reference']['d'])})", file=out)
@@ -253,7 +262,12 @@ def cmd_run(args) -> int:
     given = {k: getattr(args, k) for k in knobs if getattr(args, k) is not None}
     config = RunConfig(mission_time=mission_time, method=method, **given)
     started = time.perf_counter()
-    estimate = estimate_top(tree, config)
+    try:
+        estimate = estimate_top(tree, config)
+    except SearchError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        _print_search_table(_trace_rows(exc.trace), _config_block(config), sys.stderr)
+        return EXIT_ENGINE
     wall = time.perf_counter() - started
     report = build_report(args.file, text, tree, config, estimate, wall)
     if args.format == "json":
@@ -337,16 +351,6 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except SearchError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        for it in exc.trace.iterations:
-            d_up = "inf" if math.isinf(it.d_up) else format_number(it.d_up)
-            print(
-                f"  IC={it.ic} D_Dn={format_number(it.d_low)} D_Up={d_up} "
-                f"D={format_number(it.d)} AmPos={it.ampos}",
-                file=sys.stderr,
-            )
-        return EXIT_ENGINE
     except ReferenceSolverError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ENGINE

@@ -14,8 +14,8 @@ likelihood ratios.  No other code samples or weights cycles.
 
 All reference laws hang off a single knob ``d``; a preliminary search picks
 ``d`` so that the hit count over a small pilot run lands inside a target
-band, doubling ``d`` until bracketed and then interpolating log-count
-against log-d (secant), with the bracket's geometric mean as fallback.
+band, doubling ``d`` until bracketed and then bisecting the bracket in
+log d.
 
 Reproducibility contract: cycle j draws its randomness from a counter-based
 (Philox) substream determined by (seed, phase, j // BATCH), and partial sums
@@ -61,6 +61,9 @@ _MASK64 = (1 << 64) - 1
 # d = 1 importance run reproduces the direct run bit for bit.
 PHASE_FINAL = 0
 
+# Pilot runs the d search makes before giving up.
+MAX_SEARCH_ITERATIONS = 30
+
 
 class SearchError(RuntimeError):
     """The reference-parameter search ran out of iterations."""
@@ -81,7 +84,6 @@ class RunConfig:
     ampos_high: int = 100
     confidence: float = 0.999
     seed: int = 0
-    max_search_iterations: int = 30
     method: str = "auto"  # auto | importance | direct
     threads: int = 1
     fixed_d: float | None = None  # skip the search (importance only)
@@ -104,8 +106,6 @@ class RunConfig:
             raise ValueError(f"method must be auto, importance or direct, got {self.method!r}")
         if self.threads < 1:
             raise ValueError("threads must be at least 1")
-        if self.max_search_iterations < 1:
-            raise ValueError("max_search_iterations must be at least 1")
         if self.fixed_d is not None and not (math.isfinite(self.fixed_d) and self.fixed_d >= 1.0):
             raise ValueError(f"fixed_d must be >= 1, got {self.fixed_d!r}")
         if self.fixed_d is not None and self.method != "importance":
@@ -196,8 +196,11 @@ def sample_times(refs: ReferenceModel, u: np.ndarray) -> np.ndarray:
     and each event's row is inverted in place.
     """
     buf = u.T.copy()
-    for i, ref in enumerate(refs.refs):
-        buf[i] = ref._quantile01(buf[i])
+    # a law whose lifetimes exceed the float range maps its tail to inf,
+    # which is the correct lifetime; the overflow on the way is not an error
+    with np.errstate(over="ignore"):
+        for i, ref in enumerate(refs.refs):
+            buf[i] = ref._quantile01(buf[i])
     return buf.T
 
 
@@ -290,18 +293,15 @@ def select_reference(
     Iteration 1 runs the pilot at d = 1 (reference laws equal the base
     laws).  Any hit there means the event is not rare and plain simulation
     suffices, unless the caller forces importance sampling.  Otherwise d is
-    doubled until the hit count overshoots the target band, then refined by
-    a secant step on (log d, log hits) aimed at the band's geometric center,
-    falling back to the bracket's geometric mean whenever the secant step is
-    undefined or leaves the bracket.  Fresh cycles are drawn each iteration.
+    doubled until the hit count overshoots the target band, then the
+    bracket is bisected in log d (its geometric mean).  Fresh cycles are
+    drawn each iteration.
     """
-    target_log = 0.5 * (math.log(config.ampos_low) + math.log(config.ampos_high))
     trace = SearchTrace()
     d_low, d_up = 1.0, math.inf
     d = 1.0
-    usable: list[tuple[float, int]] = []  # (d, ampos) with ampos >= 1
 
-    for ic in range(1, config.max_search_iterations + 1):
+    for ic in range(1, MAX_SEARCH_ITERATIONS + 1):
         model = build_reference_model(tree, d, config.mission_time)
         totals = run_batch(
             tree, model, config, config.prelim_cycles, phase=ic, weighted=False
@@ -318,41 +318,17 @@ def select_reference(
             # tree just runs with the base laws (all weights 1)
             return model, trace
 
-        if ampos >= 1:
-            usable.append((d, ampos))
         if ampos < config.ampos_low:
             d_low = d
         else:
             d_up = d
-
-        if math.isinf(d_up):
-            d = 2.0 * d
-        else:
-            d = _propose_d(usable, target_log, d_low, d_up)
+        d = 2.0 * d if math.isinf(d_up) else math.sqrt(d_low * d_up)
 
     raise SearchError(
         f"no d reached the [{config.ampos_low}, {config.ampos_high}] hit band "
-        f"within {config.max_search_iterations} iterations",
+        f"within {MAX_SEARCH_ITERATIONS} iterations",
         trace,
     )
-
-
-def _propose_d(usable, target_log, d_low, d_up) -> float:
-    fallback = math.sqrt(d_low * d_up)
-    if len(usable) < 2:
-        return fallback
-    (d1, a1), (d2, a2) = usable[-2], usable[-1]
-    y1, y2 = math.log(a1), math.log(a2)
-    if y1 == y2 or d1 == d2:
-        return fallback
-    x1, x2 = math.log(d1), math.log(d2)
-    x = x2 + (target_log - y2) * (x1 - x2) / (y1 - y2)
-    if not math.isfinite(x):
-        return fallback
-    d = math.exp(x)
-    if not (d_low < d < d_up):
-        return fallback
-    return d
 
 
 def _z_quantile(confidence: float) -> float:
@@ -362,10 +338,7 @@ def _z_quantile(confidence: float) -> float:
 def _assemble(totals: BatchTotals, config: RunConfig, method, reference, trace) -> Estimate:
     k = totals.cycles
     p_hat = totals.weight_sum / k
-    if k > 1:
-        var = max(totals.weight_sq_sum - k * p_hat * p_hat, 0.0) / (k - 1)
-    else:
-        var = 0.0
+    var = max(totals.weight_sq_sum - k * p_hat * p_hat, 0.0) / (k - 1)
     std_err = math.sqrt(var / k)
     z = _z_quantile(config.confidence)
     return Estimate(

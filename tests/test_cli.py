@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import json
 from contextlib import redirect_stderr, redirect_stdout
@@ -7,7 +8,8 @@ import jsonschema
 import pytest
 
 from dftmc import RunConfig, estimate_top, parse, to_fault_tree, validate
-from dftmc.cli import _print_text_report, build_report, dumps_canonical, format_number, main
+from dftmc.cli import _print_text_report, build_arg_parser, build_report, dumps_canonical, format_number, main
+from dftmc.engine import MAX_SEARCH_ITERATIONS
 from conftest import IMPOSSIBLE_DFT, STATIC_OR2_DFT
 
 
@@ -129,6 +131,8 @@ def test_run_without_knob_flags_uses_runconfig_defaults(overlap_path):
     assert code == 0
     config = json.loads(out)["config"]
     defaults = RunConfig(mission_time=config["mission_time"])
+    # the iteration cap is a constant of the search, not a knob
+    assert config.pop("max_search_iterations") == MAX_SEARCH_ITERATIONS
     assert config == {key: getattr(defaults, key) for key in config}
 
 
@@ -178,7 +182,8 @@ def test_report_warns_when_hit_weights_underflow(schema):
 
 
 def test_text_search_table_reads_report_config(overlap_tree):
-    # the table's header and notes come from the report's own config block
+    # the table's header and notes come from the report's own config block;
+    # the last row is labelled by the run's method
     config = RunConfig(
         mission_time=1.0, cycles=2_000, prelim_cycles=500, ampos_low=20, ampos_high=40,
         method="importance", fixed_d=2.0,
@@ -186,16 +191,32 @@ def test_text_search_table_reads_report_config(overlap_tree):
     report = build_report("t.dft", "", overlap_tree, config, estimate_top(overlap_tree, config), 0.0)
     report["search"] = [
         {"ic": ic, "d_low": 1.0, "d_up": None, "d": float(ic), "ampos": ampos}
-        for ic, ampos in enumerate((0, 19, 20, 41, 40), start=1)
+        for ic, ampos in enumerate((0, 19, 41, 40), start=1)
     ]
     out = io.StringIO()
     _print_text_report(report, out)
     lines = out.getvalue().splitlines()
     assert "d search (pilot runs of 500 cycles, target hit band [20, 40])" in lines
     notes = [line.split(maxsplit=4)[4] for line in lines if line.startswith("  ") and "(" in line]
-    assert notes == [
-        "0 (below band)", "19 (below band)", "20 (accepted)", "41 (above band)", "40 (accepted)"
-    ]
+    assert notes == ["0 (below band)", "19 (below band)", "41 (above band)", "40 (accepted)"]
+
+
+@pytest.mark.parametrize(
+    "flags,note,method_line",
+    [
+        ([], "157 (direct)", "method: direct simulation"),
+        (["--method", "is"], "157 (accepted)", "method: importance sampling (d = 1.0)"),
+    ],
+    ids=["auto", "is"],
+)
+def test_text_search_table_labels_deciding_pilot_by_method(tmp_path, flags, note, method_line):
+    # the one pilot is above the band; it decides the run either way
+    path = write(tmp_path, "or2.dft", STATIC_OR2_DFT)
+    code, out, err = run_cli(["run", path, "--cycles", "10000", *flags])
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[4].split(maxsplit=4)[4] == note
+    assert lines[5] == method_line
 
 
 def test_run_deterministic_across_threads(overlap_path):
@@ -245,6 +266,14 @@ def test_mission_time_flag_must_be_finite_and_positive(tmp_path, overlap_path, c
     assert "mission" in err
 
 
+def test_every_runconfig_knob_has_a_run_flag():
+    # fixed_d has no flag: it lets library callers and tests force d
+    sub = next(a for a in build_arg_parser()._actions if a.dest == "command")
+    dests = {a.dest for a in sub.choices["run"]._actions}
+    knobs = {f.name for f in dataclasses.fields(RunConfig)} - {"fixed_d"}
+    assert knobs <= dests, knobs - dests
+
+
 def test_run_bad_knobs(overlap_path):
     code, out, err = run_cli(["run", str(overlap_path), "--cycles", "10"])
     assert code == 3
@@ -254,7 +283,28 @@ def test_run_search_failure_dumps_trace(tmp_path):
     path = write(tmp_path, "impossible.dft", IMPOSSIBLE_DFT)
     code, out, err = run_cli(["run", path, "--cycles", "100000"])
     assert code == 4
-    assert "IC=30" in err
+    assert out == ""
+    lines = err.splitlines()
+    assert lines[0] == "error: no d reached the [10, 100] hit band within 30 iterations"
+    # the same table as the text report, every row labelled by the band
+    assert lines[1] == "d search (pilot runs of 1000 cycles, target hit band [10, 100])"
+    assert lines[-1].split()[0] == "30" and lines[-1].endswith("0 (below band)")
+    assert len(lines) == 4 + 30
+
+
+@pytest.mark.parametrize(
+    "law",
+    ["exp mttf=1e308", "normal mean=1e308 sd=1e308", "lognormal mu=709.78 sigma=1"],
+    ids=["exp", "normal", "lognormal"],
+)
+@pytest.mark.parametrize("method", ["auto", "is", "direct"])
+def test_run_lifetimes_beyond_float_range_do_not_warn(tmp_path, law, method):
+    # A's lifetimes overflow to inf, the correct value; the suite turns any
+    # RuntimeWarning from the overflow into an error
+    text = f"dft 1\nmission_time 1\nbe A {law}\nbe B exp mttf=10\ngate TOP or A B\ntop TOP\n"
+    code, out, err = run_cli(["run", write(tmp_path, "huge.dft", text), "--cycles", "1000", "--method", method])
+    assert code == 0
+    assert err == ""
 
 
 REFERENCE_FAILURE_DFT = """dft 1

@@ -7,6 +7,7 @@ from dftmc import BasicEvent, FaultTree, Gate, GateKind, RunConfig, estimate_top
 from dftmc.distributions import Exponential, solve_reference
 from dftmc.engine import (
     BATCH,
+    MAX_SEARCH_ITERATIONS,
     BatchTotals,
     SearchError,
     build_reference_model,
@@ -14,7 +15,6 @@ from dftmc.engine import (
     run_batch,
     sample_times,
     select_reference,
-    _propose_d,
     _stream,
 )
 from dftmc.tree import batch_top_times
@@ -302,11 +302,11 @@ def test_select_reference_forced_importance_above_band():
 
 
 def test_select_reference_failure_carries_trace(impossible_tree):
-    config = RunConfig(mission_time=MISSION, seed=0, max_search_iterations=30)
+    config = RunConfig(mission_time=MISSION, seed=0)
     with pytest.raises(SearchError) as info:
         select_reference(impossible_tree, config)
     trace = info.value.trace
-    assert len(trace.iterations) == 30
+    assert len(trace.iterations) == MAX_SEARCH_ITERATIONS == 30
     assert all(it.ampos == 0 for it in trace.iterations)
     # unbracketed: doubling all the way
     assert [it.d for it in trace.iterations][:5] == [1.0, 2.0, 4.0, 8.0, 16.0]
@@ -326,45 +326,18 @@ def test_trace_brackets_nested(overlap_tree):
     assert all(a >= b for a, b in zip(ups, ups[1:]))
 
 
-def test_propose_d_secant_interpolation():
-    target = 0.5 * (math.log(40) + math.log(55))
-    # two pilot points: log-log interpolation toward the band center
-    usable = [(2.0, 36), (4.0, 246)]
-    x1, y1 = math.log(2.0), math.log(36)
-    x2, y2 = math.log(4.0), math.log(246)
-    expected = math.exp(x2 + (target - y2) * (x1 - x2) / (y1 - y2))
-    proposed = _propose_d(usable, target, 2.0, 4.0)
-    assert proposed == pytest.approx(expected, rel=1e-12)
-    assert 2.0 < proposed < 4.0
-    # same points, but a band center the line only reaches outside the
-    # bracket: clamped to the geometric mean
-    low_target = 0.5 * (math.log(10) + math.log(100))
-    assert _propose_d(usable, low_target, 2.0, 4.0) == math.sqrt(8.0)
-
-
-def test_propose_d_falls_back_to_geometric_mean():
-    target = 0.5 * (math.log(10) + math.log(100))
-    gm = math.sqrt(2.0 * 8.0)
-    # fewer than two usable pilot points
-    assert _propose_d([(2.0, 3)], target, 2.0, 8.0) == gm
-    # flat pilot counts give an undefined slope
-    assert _propose_d([(2.0, 5), (4.0, 5)], target, 2.0, 8.0) == gm
-    # interpolant escaping the bracket is clamped
-    assert _propose_d([(2.0, 5), (2.1, 6)], target, 2.0, 2.2) == pytest.approx(math.sqrt(2.0 * 2.2))
-
-
-def test_search_uses_secant_once_bracketed(overlap_tree):
-    # a narrow band forces bracketing and at least one interpolated proposal
-    cfg = RunConfig(
-        mission_time=MISSION, seed=4, ampos_low=40, ampos_high=55,
-        prelim_cycles=1000, max_search_iterations=60,
-    )
-    try:
-        model, trace = select_reference(overlap_tree, cfg)
-        accepted = trace.iterations[-1]
-        assert cfg.ampos_low <= accepted.ampos <= cfg.ampos_high
-    except SearchError:
-        pytest.skip("band too narrow for this seed; covered by other seeds")
+def test_search_bisects_bracket_in_log_d(overlap_tree):
+    # a narrow band: at seed 0 the demo overshoots at d = 4, then needs six
+    # more pilots inside the bracket [2, 4]
+    cfg = RunConfig(mission_time=MISSION, seed=0, ampos_low=40, ampos_high=55, prelim_cycles=1000)
+    model, trace = select_reference(overlap_tree, cfg)
+    bracketed = [it for it in trace.iterations if not math.isinf(it.d_up)]
+    assert len(trace.iterations) == 9 and len(bracketed) == 6
+    for it in bracketed:
+        assert it.d == math.sqrt(it.d_low * it.d_up)
+    accepted = trace.iterations[-1]
+    assert cfg.ampos_low <= accepted.ampos <= cfg.ampos_high
+    assert model.d == accepted.d
 
 
 # -- estimation ---------------------------------------------------------------
