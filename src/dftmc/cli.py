@@ -3,7 +3,7 @@
 Exit codes are stable:
 
     0  success
-    1  I/O error (unreadable input)
+    1  I/O error (unreadable input, including text that is not UTF-8)
     2  parse error (bad .dft text; also argparse usage errors)
     3  validation error (tree structure, missing mission time, bad knobs)
     4  engine error (reference search or solver failure)
@@ -35,7 +35,7 @@ from .oracle import (
     smallp_pand_overlap,
 )
 from .parser import ParseError, parse, to_fault_tree
-from .tree import ValidationError, validate
+from .tree import ValidationError
 
 EXIT_OK = 0
 EXIT_IO = 1
@@ -226,12 +226,11 @@ def _print_text_report(report, out=None):
 
 
 def _load_tree(path):
-    """Returns (text, document, validated tree) or raises typed errors."""
+    """Returns (text, document, tree) or raises typed errors."""
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
     doc = parse(text)
-    tree = validate(to_fault_tree(doc))
-    return text, doc, tree
+    return text, doc, to_fault_tree(doc)
 
 
 def _resolve_mission_time(args, doc) -> float:
@@ -339,7 +338,7 @@ def main(argv=None) -> int:
     args = build_arg_parser().parse_args(argv)
     try:
         return args.func(args)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     except ParseError as exc:

@@ -26,6 +26,7 @@ count.
 from __future__ import annotations
 
 import math
+import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -83,7 +84,7 @@ class RunConfig:
     ampos_low: int = 10
     ampos_high: int = 100
     confidence: float = 0.999
-    seed: int = 0
+    seed: int = 0  # in [0, 2**64)
     method: str = "auto"  # auto | importance | direct
     threads: int = 1
     fixed_d: float | None = None  # skip the search (importance only)
@@ -91,6 +92,14 @@ class RunConfig:
     def __post_init__(self):
         if not (math.isfinite(self.mission_time) and self.mission_time > 0):
             raise ValueError(f"mission_time must be positive, got {self.mission_time!r}")
+        for name in ("cycles", "prelim_cycles", "ampos_low", "ampos_high", "threads", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            # a numpy integer becomes a Python int, which seeds and reports take
+            object.__setattr__(self, name, int(value))
+        if not (0 <= self.seed <= _MASK64):
+            raise ValueError(f"seed must be in [0, 2**64), got {self.seed}")
         if self.cycles < 1:
             raise ValueError("cycles must be at least 1")
         if not (0 < self.ampos_low < self.ampos_high <= self.prelim_cycles):
@@ -363,9 +372,6 @@ def estimate_top(tree: FaultTree, config: RunConfig) -> Estimate:
     weighted indicator terms divided by sqrt(cycles); the interval is
     p_hat +- z * std_err at the configured confidence level.
     """
-    if not tree.validated:
-        raise ValueError("tree must be validated before estimation")
-
     model: ReferenceModel | None = None
     trace: SearchTrace | None = None
     if config.method == "direct":

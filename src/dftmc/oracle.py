@@ -112,8 +112,6 @@ def direct_rich(tree: FaultTree, mission_time: float, cycles: int, seed: int = 0
     non-rare regimes.  Returns (p_hat, std_err) with the binomial standard
     error sqrt(p(1-p)/n).
     """
-    if not tree.validated:
-        raise ValueError("tree must be validated first")
     if cycles < 1:
         raise ValueError(f"insufficient cycles: {cycles}")
     rng = np.random.default_rng(seed)
@@ -153,8 +151,6 @@ def match_pand_overlap(tree: FaultTree):
     Shape: TOP = pand(A, B), A = and(e1, e2, e3), B = and(e2, e3, e4) with
     the two middle events shared and every event exponential.
     """
-    if not tree.validated:
-        raise ValueError("tree must be validated first")
     top = tree.node(tree.top)
     if not isinstance(top, Gate) or top.kind is not GateKind.PAND or len(top.children) != 2:
         return None

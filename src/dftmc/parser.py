@@ -20,12 +20,13 @@ Family keywords and parameter names come from the lifetime classes
 (``family``, ``keys``), bare gate keywords from :class:`dftmc.tree.GateKind`.
 
 Serialization is canonical: header, mission time, basic events in
-declaration order, gates in :func:`dftmc.tree.validate`'s children-first
-order (which depends only on the graph below TOP, not on gate declaration
-order), then the top line, all floats printed with full round-trip
-precision.  Documents that compare equal serialize to the same text, and
-:func:`serialize` refuses a document whose text :func:`parse` would not read
-back as an equal document, so the parser alone judges what text is valid.
+declaration order, gates in the tree's children-first
+:attr:`~dftmc.tree.FaultTree.gate_order` (which depends only on the graph
+below TOP, not on gate declaration order), then the top line, all floats
+printed with full round-trip precision.  Documents that compare equal
+serialize to the same text, and :func:`serialize` refuses a document whose
+text :func:`parse` would not read back as an equal document, so the parser
+alone judges what text is valid.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ import re
 from dataclasses import dataclass, field, fields
 
 from .distributions import Exponential, LogNormal, Normal, Weibull
-from .tree import BasicEvent, FaultTree, Gate, GateKind, ValidationError, validate
+from .tree import BasicEvent, FaultTree, Gate, GateKind, ValidationError
 
 __all__ = ["TreeDocument", "ParseError", "parse", "serialize", "to_fault_tree"]
 
@@ -269,13 +270,13 @@ def _be_line(be: BasicEvent) -> str:
 def serialize(doc: TreeDocument) -> str:
     """Canonical text for a document that ``dftmc check`` accepts.
 
-    Raises :class:`dftmc.tree.ValidationError` on a document that
-    :func:`dftmc.tree.validate` rejects (empty gates, dangling references,
+    Raises :class:`dftmc.tree.ValidationError` on a document whose tree
+    :func:`to_fault_tree` refuses (empty gates, dangling references,
     cycles, unreachable nodes) or whose text :func:`parse` would not read
     back as an equal document (a non-finite mission time, a bad identifier,
     a parameter the text has no place for, such as ``k`` on an ``and`` gate).
     """
-    tree = validate(to_fault_tree(doc))
+    tree = to_fault_tree(doc)
     lines = ["dft 1"]
     if doc.mission_time is not None:
         lines.append(f"mission_time {doc.mission_time!r}")
@@ -294,5 +295,5 @@ def serialize(doc: TreeDocument) -> str:
 
 
 def to_fault_tree(doc: TreeDocument) -> FaultTree:
-    """Build the evaluable tree; call :func:`dftmc.tree.validate` on it next."""
+    """The evaluable tree; a bad structure raises :class:`dftmc.tree.ValidationError`."""
     return FaultTree(nodes=tuple(doc.events) + tuple(doc.gates), top=doc.top)

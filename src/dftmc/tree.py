@@ -15,10 +15,11 @@ Child order is significant for pand, seq and spare.  Nodes may be shared
 (one node feeding several gates); evaluation visits each node once per
 sample.
 
-:func:`validate` owns the evaluation order, :attr:`FaultTree.gate_order`.
-Every walker seeds the basic events by position from
-:attr:`FaultTree.basic_events`, then visits ``gate_order``, whose read is
-also the one check that the tree was validated.
+:func:`validate` checks a tree's structure and owns its evaluation
+order, :attr:`FaultTree.gate_order`.  A :class:`FaultTree` runs it when it
+is built, so every tree in hand is sound.  Every walker seeds the basic
+events by position from :attr:`FaultTree.basic_events`, then visits
+``gate_order``.
 """
 
 from __future__ import annotations
@@ -79,18 +80,21 @@ class Gate:
 class FaultTree:
     """Ordered node set plus the name of the TOP node.
 
-    Construct, then call :func:`validate`, which sets :attr:`gate_order`.
-    Basic events keep their declaration order, and sample vectors are
-    indexed by position in :attr:`basic_events`.
+    Construction runs :func:`validate`, so a structurally bad tree raises
+    :class:`ValidationError` here and every tree has :attr:`gate_order`:
+    the gates in children-first order, a gate at TOP last.  Basic events
+    keep their declaration order, and sample vectors are indexed by
+    position in :attr:`basic_events`.
     """
 
     nodes: tuple[BasicEvent | Gate, ...]
     top: str
-    _by_name: dict = field(default_factory=dict, repr=False, compare=False)
-    _gate_order: tuple[Gate, ...] | None = field(default=None, repr=False, compare=False)
+    gate_order: tuple[Gate, ...] = field(init=False, repr=False, compare=False)
+    _by_name: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.nodes = tuple(self.nodes)
+        validate(self)
 
     @property
     def basic_events(self) -> tuple[BasicEvent, ...]:
@@ -100,30 +104,18 @@ class FaultTree:
     def gates(self) -> tuple[Gate, ...]:
         return tuple(n for n in self.nodes if isinstance(n, Gate))
 
-    @property
-    def validated(self) -> bool:
-        return self._gate_order is not None
-
-    @property
-    def gate_order(self) -> tuple[Gate, ...]:
-        """The gates in children-first order, a gate at TOP last.
-
-        Raises :class:`ValidationError` until :func:`validate` has run.
-        """
-        if self._gate_order is None:
-            raise ValidationError("tree must be validated before evaluation")
-        return self._gate_order
-
     def node(self, name: str) -> BasicEvent | Gate:
         return self._by_name[name]
 
 
 def validate(tree: FaultTree) -> FaultTree:
-    """Check all structural invariants and cache the evaluation order.
+    """Check all structural invariants, set the evaluation order, return the tree.
 
-    Raises :class:`ValidationError` naming the offending node for: duplicate
-    names, undeclared children, bad arity, voting threshold out of range,
-    spare dormancy outside [0, 1], cycles, and nodes unreachable from TOP.
+    :class:`FaultTree` calls this when it is built; calling it again is
+    harmless.  Raises :class:`ValidationError` naming the offending node
+    for: duplicate names, undeclared children, bad arity, voting threshold
+    out of range, spare dormancy outside [0, 1], cycles, and nodes
+    unreachable from TOP.
     """
     by_name: dict[str, BasicEvent | Gate] = {}
     for node in tree.nodes:
@@ -196,7 +188,7 @@ def validate(tree: FaultTree) -> FaultTree:
         raise ValidationError("nodes unreachable from top: " + ", ".join(unreachable))
 
     tree._by_name = by_name
-    tree._gate_order = tuple(gate_order)
+    tree.gate_order = tuple(gate_order)
     return tree
 
 
@@ -233,7 +225,7 @@ def top_time(tree: FaultTree, sample) -> float:
     """Failure time of TOP for one vector of basic-event times.
 
     ``sample`` is indexed like ``tree.basic_events``.  Shared subtrees are
-    evaluated once.  Requires a validated tree.
+    evaluated once.
     """
     gates = tree.gate_order
     events = tree.basic_events

@@ -2,7 +2,7 @@ import pathlib
 
 import pytest
 
-from dftmc import parse, to_fault_tree, validate
+from dftmc import parse, to_fault_tree
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
 TREES = REPO / "trees"
@@ -30,17 +30,17 @@ def overlap_doc():
 
 @pytest.fixture(scope="session")
 def overlap_tree(overlap_doc):
-    return validate(to_fault_tree(overlap_doc))
+    return to_fault_tree(overlap_doc)
 
 
 @pytest.fixture(scope="session")
 def static_or2_tree():
-    return validate(to_fault_tree(parse(STATIC_OR2_DFT)))
+    return to_fault_tree(parse(STATIC_OR2_DFT))
 
 
 @pytest.fixture(scope="session")
 def impossible_tree():
-    return validate(to_fault_tree(parse(IMPOSSIBLE_DFT)))
+    return to_fault_tree(parse(IMPOSSIBLE_DFT))
 
 
 @pytest.fixture()

@@ -7,7 +7,7 @@ from importlib import resources
 import jsonschema
 import pytest
 
-from dftmc import RunConfig, estimate_top, parse, to_fault_tree, validate
+from dftmc import RunConfig, estimate_top, parse, to_fault_tree
 from dftmc.cli import _print_text_report, build_arg_parser, build_report, dumps_canonical, format_number, main
 from dftmc.engine import MAX_SEARCH_ITERATIONS
 from conftest import IMPOSSIBLE_DFT, STATIC_OR2_DFT
@@ -80,6 +80,17 @@ def test_check_missing_file():
     code, out, err = run_cli(["check", "/nonexistent/tree.dft"])
     assert code == 1
     assert "error" in err
+
+
+@pytest.mark.parametrize("command", ["check", "run", "oracle"])
+def test_input_that_is_not_utf8_is_an_io_error(tmp_path, command):
+    path = tmp_path / "latin1.dft"
+    text = "dft 1\nmission_time 1.0\nbe X exp mttf=10.0 # caf\xe9\ntop X\n"
+    path.write_bytes(text.encode("latin-1"))
+    code, out, err = run_cli([command, str(path)])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:")
 
 
 def test_check_parse_error(tmp_path):
@@ -167,7 +178,7 @@ def test_report_warns_when_hit_weights_underflow(schema):
     names = [f"E{i}" for i in range(80)]
     text = "dft 1\n" + "".join(f"be {n} exp mttf=1000.0\n" for n in names)
     text += f"gate TOP and {' '.join(names)}\ntop TOP\n"
-    tree = validate(to_fault_tree(parse(text)))
+    tree = to_fault_tree(parse(text))
     config = RunConfig(mission_time=1.0, cycles=10_000, seed=1, method="importance", fixed_d=1e300)
     estimate = estimate_top(tree, config)
     assert estimate.hits == 10_000 and estimate.p_hat == 0.0 and estimate.std_err == 0.0
@@ -277,6 +288,14 @@ def test_every_runconfig_knob_has_a_run_flag():
 def test_run_bad_knobs(overlap_path):
     code, out, err = run_cli(["run", str(overlap_path), "--cycles", "10"])
     assert code == 3
+
+
+@pytest.mark.parametrize("seed", ["-1", str(2**64)])
+def test_run_seed_outside_64_bits_is_refused(overlap_path, seed):
+    code, out, err = run_cli(["run", str(overlap_path), "--seed", seed])
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: seed")
 
 
 def test_run_search_failure_dumps_trace(tmp_path):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from dftmc import BasicEvent, FaultTree, Gate, GateKind, RunConfig, estimate_top, parse, to_fault_tree, validate
+from dftmc import BasicEvent, FaultTree, Gate, GateKind, RunConfig, estimate_top, parse, to_fault_tree
 from dftmc.distributions import Exponential, solve_reference
 from dftmc.engine import (
     BATCH,
@@ -42,11 +42,11 @@ top TOP
 
 @pytest.fixture(scope="module")
 def mixed_tree():
-    return validate(to_fault_tree(parse(MIXED_DFT)))
+    return to_fault_tree(parse(MIXED_DFT))
 
 
 def single_event_tree(dist):
-    return validate(FaultTree((BasicEvent("X", dist),), top="X"))
+    return FaultTree((BasicEvent("X", dist),), top="X")
 
 
 def exp_with_p(p):
@@ -73,11 +73,24 @@ def exp_with_p(p):
         # fixed_d skips the search, which only importance sampling runs
         dict(mission_time=0.01, fixed_d=4.0),
         dict(mission_time=0.01, method="direct", fixed_d=4.0),
+        # counts are integers, and a seed names one of 2**64 streams
+        dict(mission_time=1.0, cycles=1e5),
+        dict(mission_time=1.0, prelim_cycles=1000.0),
+        dict(mission_time=1.0, seed=-1),
+        dict(mission_time=1.0, seed=2**64),
+        dict(mission_time=1.0, seed=0.5),
     ],
 )
 def test_bad_config_rejected(kwargs):
     with pytest.raises(ValueError):
         RunConfig(**kwargs)
+
+
+def test_numpy_integer_knobs_run_like_python_ints(overlap_tree):
+    plain = estimate_top(overlap_tree, RunConfig(mission_time=MISSION, cycles=20_000, seed=7))
+    config = RunConfig(mission_time=MISSION, cycles=np.int64(20_000), seed=np.uint64(7))
+    assert type(config.cycles) is int and type(config.seed) is int
+    assert estimate_top(overlap_tree, config) == plain
 
 
 # -- sampling -----------------------------------------------------------------
@@ -174,9 +187,9 @@ def test_log_weights_rejects_mismatched_width(overlap_tree):
 
 def test_run_batch_rejects_model_of_another_tree():
     x, y = BasicEvent("X", Exponential(1000.0)), BasicEvent("Y", Exponential(2000.0))
-    and_tree = validate(FaultTree((x, y, Gate("TOP", GateKind.AND, ("X", "Y"))), top="TOP"))
+    and_tree = FaultTree((x, y, Gate("TOP", GateKind.AND, ("X", "Y"))), top="TOP")
     p, q = BasicEvent("P", Exponential(50.0)), BasicEvent("Q", Exponential(80.0))
-    or_tree = validate(FaultTree((p, q, Gate("TOP", GateKind.OR, ("P", "Q"))), top="TOP"))
+    or_tree = FaultTree((p, q, Gate("TOP", GateKind.OR, ("P", "Q"))), top="TOP")
     # same width, other event names: the model must not be silently reused
     model = build_reference_model(or_tree, 4.0, MISSION)
     with pytest.raises(ValueError, match="basic events"):
@@ -454,14 +467,6 @@ def test_estimates_match_golden_bits(overlap_tree, mixed_tree):
             assert (est.p_hat.hex(), est.std_err.hex(), est.hits) == expected
 
 
-def test_estimate_requires_validated_tree():
-    from dftmc import FaultTree
-
-    tree = FaultTree((BasicEvent("X", Exponential(1.0)),), top="X")
-    with pytest.raises(ValueError, match="validated"):
-        estimate_top(tree, RunConfig(mission_time=MISSION))
-
-
 # -- quadrature cross-checks on dynamic gates --------------------------------
 #
 # Two-input dynamic gates admit independent quadrature oracles; these runs
@@ -478,11 +483,9 @@ def test_pand_pair_matches_quadrature():
     truth, _ = integrate.quad(
         lambda t: float(first.cdf(t)) * float(second.pdf(t)), 0.0, MISSION, limit=200
     )
-    tree = validate(
-        FaultTree(
-            (BasicEvent("M", first), BasicEvent("S", second), Gate("TOP", GateKind.PAND, ("M", "S"))),
-            top="TOP",
-        )
+    tree = FaultTree(
+        (BasicEvent("M", first), BasicEvent("S", second), Gate("TOP", GateKind.PAND, ("M", "S"))),
+        top="TOP",
     )
     for seed in range(3):
         est = estimate_top(tree, RunConfig(mission_time=MISSION, seed=seed))
@@ -499,11 +502,9 @@ def test_seq_pair_matches_quadrature():
     truth, _ = integrate.quad(
         lambda s: float(first.cdf(MISSION - s)) * float(second.pdf(s)), 0.0, MISSION, limit=200
     )
-    tree = validate(
-        FaultTree(
-            (BasicEvent("M", first), BasicEvent("S", second), Gate("TOP", GateKind.SEQ, ("M", "S"))),
-            top="TOP",
-        )
+    tree = FaultTree(
+        (BasicEvent("M", first), BasicEvent("S", second), Gate("TOP", GateKind.SEQ, ("M", "S"))),
+        top="TOP",
     )
     for seed in range(3):
         est = estimate_top(tree, RunConfig(mission_time=MISSION, seed=seed))
@@ -529,15 +530,13 @@ def test_spare_pair_matches_quadrature():
 
     takeover, _ = integrate.quad(standby_branch, 0.0, MISSION / (1.0 - a), limit=200)
     truth = active + takeover
-    tree = validate(
-        FaultTree(
-            (
-                BasicEvent("P", primary),
-                BasicEvent("Q", standby),
-                Gate("TOP", GateKind.SPARE, ("P", "Q"), dormancy=a),
-            ),
-            top="TOP",
-        )
+    tree = FaultTree(
+        (
+            BasicEvent("P", primary),
+            BasicEvent("Q", standby),
+            Gate("TOP", GateKind.SPARE, ("P", "Q"), dormancy=a),
+        ),
+        top="TOP",
     )
     for seed in range(3):
         est = estimate_top(tree, RunConfig(mission_time=MISSION, seed=seed))
@@ -547,7 +546,7 @@ def test_spare_pair_matches_quadrature():
 def test_solver_failure_names_the_event():
     from dftmc.distributions import LogNormal, ReferenceSolverError
 
-    tree = validate(FaultTree((BasicEvent("FOGGY", LogNormal(0.0, 50.0)),), top="FOGGY"))
+    tree = FaultTree((BasicEvent("FOGGY", LogNormal(0.0, 50.0)),), top="FOGGY")
     config = RunConfig(mission_time=MISSION, method="importance", fixed_d=1e300)
     with pytest.raises(ReferenceSolverError, match="FOGGY"):
         estimate_top(tree, config)
@@ -555,7 +554,11 @@ def test_solver_failure_names_the_event():
 
 def test_seed_edge_values():
     tree = single_event_tree(exp_with_p(0.2))
-    for seed in (-1, 0, 2**63, 2**64 - 1):
+    for seed in (0, 2**63, 2**64 - 1):
         a = estimate_top(tree, RunConfig(mission_time=MISSION, method="direct", seed=seed, cycles=2000, prelim_cycles=1000, ampos_low=10, ampos_high=100))
         b = estimate_top(tree, RunConfig(mission_time=MISSION, method="direct", seed=seed, cycles=2000, prelim_cycles=1000, ampos_low=10, ampos_high=100))
         assert a.p_hat == b.p_hat
+    # a seed outside 64 bits would alias one inside, so it is refused
+    for seed in (-1, 2**64):
+        with pytest.raises(ValueError, match="seed"):
+            RunConfig(mission_time=MISSION, method="direct", seed=seed)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from dftmc import BasicEvent, FaultTree, Gate, GateKind, RunConfig, estimate_top, validate
+from dftmc import BasicEvent, FaultTree, Gate, GateKind, RunConfig, estimate_top
 from dftmc.distributions import Exponential
 from dftmc.oracle import (
     TreeTooLargeError,
@@ -23,7 +23,7 @@ def exp_with_p(p):
 
 
 def static_tree(events, gates, top):
-    return validate(FaultTree(tuple(events) + tuple(gates), top=top))
+    return FaultTree(tuple(events) + tuple(gates), top=top)
 
 
 def test_exact_or_two():
@@ -136,19 +136,17 @@ def test_smallp_agrees_with_importance_estimate():
     # engine pins the true value far more tightly than plain simulation can
     u = -MISSION / math.log1p(-0.05)
     mttfs = (u, 1.05 * u, 1.1 * u, 1.15 * u)
-    tree = validate(
-        FaultTree(
-            (
-                BasicEvent("E1", Exponential(mttfs[0])),
-                BasicEvent("E2", Exponential(mttfs[1])),
-                BasicEvent("E3", Exponential(mttfs[2])),
-                BasicEvent("E4", Exponential(mttfs[3])),
-                Gate("A", GateKind.AND, ("E1", "E2", "E3")),
-                Gate("B", GateKind.AND, ("E2", "E3", "E4")),
-                Gate("T", GateKind.PAND, ("A", "B")),
-            ),
-            top="T",
-        )
+    tree = FaultTree(
+        (
+            BasicEvent("E1", Exponential(mttfs[0])),
+            BasicEvent("E2", Exponential(mttfs[1])),
+            BasicEvent("E3", Exponential(mttfs[2])),
+            BasicEvent("E4", Exponential(mttfs[3])),
+            Gate("A", GateKind.AND, ("E1", "E2", "E3")),
+            Gate("B", GateKind.AND, ("E2", "E3", "E4")),
+            Gate("T", GateKind.PAND, ("A", "B")),
+        ),
+        top="T",
     )
     approx = smallp_pand_overlap(MISSION, mttfs)
     est = estimate_top(tree, RunConfig(mission_time=MISSION, seed=3, cycles=200_000))
@@ -159,7 +157,7 @@ def test_smallp_agrees_with_importance_estimate():
 
 
 def test_direct_rich_coin_flip():
-    tree = validate(FaultTree((BasicEvent("X", exp_with_p(0.5)),), top="X"))
+    tree = FaultTree((BasicEvent("X", exp_with_p(0.5)),), top="X")
     p_hat, std_err = direct_rich(tree, MISSION, 100_000, seed=4)
     assert p_hat == pytest.approx(0.5, abs=0.01)
     assert std_err == pytest.approx(math.sqrt(0.25 / 100_000), rel=0.05)
@@ -172,19 +170,17 @@ def test_direct_rich_rejects_zero_cycles(overlap_tree):
 
 def test_direct_rich_agrees_with_engine_on_rescaled_overlap():
     # mttf = 2i makes every event likely to fail within the mission
-    tree = validate(
-        FaultTree(
-            (
-                BasicEvent("E1", Exponential(2.0)),
-                BasicEvent("E2", Exponential(4.0)),
-                BasicEvent("E3", Exponential(6.0)),
-                BasicEvent("E4", Exponential(8.0)),
-                Gate("A", GateKind.AND, ("E1", "E2", "E3")),
-                Gate("B", GateKind.AND, ("E2", "E3", "E4")),
-                Gate("T", GateKind.PAND, ("A", "B")),
-            ),
-            top="T",
-        )
+    tree = FaultTree(
+        (
+            BasicEvent("E1", Exponential(2.0)),
+            BasicEvent("E2", Exponential(4.0)),
+            BasicEvent("E3", Exponential(6.0)),
+            BasicEvent("E4", Exponential(8.0)),
+            Gate("A", GateKind.AND, ("E1", "E2", "E3")),
+            Gate("B", GateKind.AND, ("E2", "E3", "E4")),
+            Gate("T", GateKind.PAND, ("A", "B")),
+        ),
+        top="T",
     )
     p_dir, se_dir = direct_rich(tree, MISSION, 50_000, seed=6)
     est = estimate_top(

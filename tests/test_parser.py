@@ -5,7 +5,7 @@ from importlib import resources
 import numpy as np
 import pytest
 
-from dftmc import GateKind, ParseError, parse, serialize, to_fault_tree, validate
+from dftmc import GateKind, ParseError, parse, serialize, to_fault_tree
 from dftmc.distributions import Exponential, LogNormal, Normal, Weibull
 from dftmc.parser import _FAMILIES, TreeDocument
 from dftmc.tree import BasicEvent, Gate, ValidationError
@@ -25,7 +25,7 @@ def test_parse_overlap_demo():
     assert gates["TOP"].kind is GateKind.PAND and gates["TOP"].children == ("A", "B")
     assert doc.top == "TOP"
     # shared events validate fine
-    validate(to_fault_tree(doc))
+    to_fault_tree(doc)
 
 
 def test_parse_all_families():

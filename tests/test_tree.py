@@ -100,9 +100,12 @@ def overlap_nodes():
 
 
 def test_validate_overlap_shape():
-    tree = validate(FaultTree(overlap_nodes(), top="TOP"))
-    assert tree.validated
+    tree = FaultTree(overlap_nodes(), top="TOP")
+    assert [g.name for g in tree.gate_order] == ["A", "B", "TOP"]
     assert [b.name for b in tree.basic_events] == ["B1", "B2", "B3", "B4"]
+    # checking again is harmless and hands back the same tree
+    assert validate(tree) is tree
+    assert [g.name for g in tree.gate_order] == ["A", "B", "TOP"]
 
 
 def test_validate_cycle_names_cycle():
@@ -112,67 +115,67 @@ def test_validate_cycle_names_cycle():
         Gate("G2", GateKind.OR, ("G1", "X")),
     )
     with pytest.raises(ValidationError, match="cycle"):
-        validate(FaultTree(nodes, top="G1"))
+        FaultTree(nodes, top="G1")
 
 
 def test_validate_self_cycle():
     nodes = (be("X"), Gate("G", GateKind.AND, ("G", "X")))
     with pytest.raises(ValidationError, match="cycle detected: G -> G"):
-        validate(FaultTree(nodes, top="G"))
+        FaultTree(nodes, top="G")
 
 
 def test_validate_spare_arity():
     nodes = (be("X"), be("Y"), be("Z"), Gate("G", GateKind.SPARE, ("X", "Y", "Z"), dormancy=0.5))
     with pytest.raises(ValidationError, match="exactly 2"):
-        validate(FaultTree(nodes, top="G"))
+        FaultTree(nodes, top="G")
 
 
 def test_validate_small_arity():
     nodes = (be("X"), Gate("G", GateKind.AND, ("X",)))
     with pytest.raises(ValidationError, match="at least 2"):
-        validate(FaultTree(nodes, top="G"))
+        FaultTree(nodes, top="G")
 
 
 def test_validate_voting_threshold_range():
     nodes = (be("X"), be("Y"), Gate("G", GateKind.VOTING, ("X", "Y"), k=3))
     with pytest.raises(ValidationError, match="out of range"):
-        validate(FaultTree(nodes, top="G"))
+        FaultTree(nodes, top="G")
 
 
 def test_validate_dormancy_range():
     nodes = (be("X"), be("Y"), Gate("G", GateKind.SPARE, ("X", "Y"), dormancy=1.5))
     with pytest.raises(ValidationError, match="dormancy"):
-        validate(FaultTree(nodes, top="G"))
+        FaultTree(nodes, top="G")
 
 
 def test_validate_duplicate_names():
     nodes = (be("X"), be("X"), Gate("G", GateKind.AND, ("X", "X")))
     with pytest.raises(ValidationError, match="duplicate"):
-        validate(FaultTree(nodes, top="G"))
+        FaultTree(nodes, top="G")
 
 
 def test_validate_undeclared_child():
     nodes = (be("X"), Gate("G", GateKind.AND, ("X", "NOPE")))
     with pytest.raises(ValidationError, match="undeclared child NOPE"):
-        validate(FaultTree(nodes, top="G"))
+        FaultTree(nodes, top="G")
 
 
 def test_validate_unreachable():
     nodes = (be("X"), be("Y"), be("Z"), Gate("G", GateKind.AND, ("X", "Y")))
     with pytest.raises(ValidationError, match="unreachable.*Z"):
-        validate(FaultTree(nodes, top="G"))
+        FaultTree(nodes, top="G")
 
 
 def test_validate_missing_top():
     with pytest.raises(ValidationError, match="top"):
-        validate(FaultTree((be("X"),), top="NOPE"))
+        FaultTree((be("X"),), top="NOPE")
 
 
 # -- whole-tree evaluation ----------------------------------------------------
 
 
 def test_top_time_overlap_examples():
-    tree = validate(FaultTree(overlap_nodes(), top="TOP"))
+    tree = FaultTree(overlap_nodes(), top="TOP")
     # A = max(.1,.2,.3) = .3, B = max(.2,.3,.4) = .4, ordered: TOP = .4
     assert top_time(tree, [0.1, 0.2, 0.3, 0.4]) == 0.4
     # A = .5 > B = .4: order violated
@@ -180,39 +183,31 @@ def test_top_time_overlap_examples():
 
 
 def test_top_time_single_event():
-    tree = validate(FaultTree((be("X"),), top="X"))
+    tree = FaultTree((be("X"),), top="X")
     assert top_time(tree, [2.5]) == 2.5
 
 
 def test_top_time_checks_length():
-    tree = validate(FaultTree(overlap_nodes(), top="TOP"))
+    tree = FaultTree(overlap_nodes(), top="TOP")
     with pytest.raises(ValueError, match="4 basic events"):
         top_time(tree, [1.0, 2.0])
 
 
-def test_top_time_requires_validation():
-    tree = FaultTree((be("X"),), top="X")
-    with pytest.raises(ValidationError):
-        top_time(tree, [1.0])
-
-
 def test_shared_subtree_equals_expanded_tree():
-    shared = validate(FaultTree(overlap_nodes(), top="TOP"))
-    expanded = validate(
-        FaultTree(
-            (
-                be("B1", 1000.0),
-                be("B2", 2000.0),
-                be("B3", 3000.0),
-                be("B2x", 2000.0),
-                be("B3x", 3000.0),
-                be("B4", 4000.0),
-                Gate("A", GateKind.AND, ("B1", "B2", "B3")),
-                Gate("B", GateKind.AND, ("B2x", "B3x", "B4")),
-                Gate("TOP", GateKind.PAND, ("A", "B")),
-            ),
-            top="TOP",
-        )
+    shared = FaultTree(overlap_nodes(), top="TOP")
+    expanded = FaultTree(
+        (
+            be("B1", 1000.0),
+            be("B2", 2000.0),
+            be("B3", 3000.0),
+            be("B2x", 2000.0),
+            be("B3x", 3000.0),
+            be("B4", 4000.0),
+            Gate("A", GateKind.AND, ("B1", "B2", "B3")),
+            Gate("B", GateKind.AND, ("B2x", "B3x", "B4")),
+            Gate("TOP", GateKind.PAND, ("A", "B")),
+        ),
+        top="TOP",
     )
     rng = np.random.default_rng(17)
     for _ in range(300):
@@ -246,7 +241,7 @@ def test_batch_vote_and_spare_match_scalar_in_both_layouts():
         return times
 
     def check(names, gate, times):
-        tree = validate(FaultTree(tuple(be(n) for n in names) + (gate,), top="TOP"))
+        tree = FaultTree(tuple(be(n) for n in names) + (gate,), top="TOP")
         by_row = batch_top_times(tree, times)
         by_col = batch_top_times(tree, np.asfortranarray(times))
         assert np.array_equal(by_row, by_col)

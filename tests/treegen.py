@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 
-from dftmc import BasicEvent, FaultTree, Gate, GateKind, validate
+from dftmc import BasicEvent, FaultTree, Gate, GateKind
 from dftmc.distributions import Exponential, LogNormal, Normal, Weibull
 from dftmc.parser import TreeDocument
 
@@ -86,7 +86,7 @@ def random_tree(rng: np.random.Generator, n_events: int, kinds=ALL_KINDS, dist_f
         gate_no += 1
         nodes.append(gate)
         open_names.append(gate.name)
-    return validate(FaultTree(tuple(nodes), top=open_names[0]))
+    return FaultTree(tuple(nodes), top=open_names[0])
 
 
 def random_static_tree(rng: np.random.Generator, n_events: int, p_low=0.01, p_high=0.3) -> FaultTree:
