@@ -20,6 +20,7 @@ import argparse
 import hashlib
 import json
 import math
+import numbers
 import sys
 import time
 from collections import Counter
@@ -49,11 +50,15 @@ _ZERO_WEIGHT_WARNING = "TOP events observed but every hit weight underflowed to 
 
 
 def format_number(x) -> str:
-    """Full round-trip precision; scientific notation for small magnitudes."""
+    """Full round-trip precision; scientific notation for small magnitudes.
+
+    Numpy scalars are written as the Python ``int`` or ``float`` they equal.
+    """
     if isinstance(x, bool):
         return "true" if x else "false"
-    if isinstance(x, int):
-        return str(x)
+    if isinstance(x, numbers.Integral):
+        return str(int(x))
+    x = float(x)
     if x != x or math.isinf(x):
         raise ValueError(f"non-finite number in report: {x!r}")
     if x == 0.0:
@@ -75,7 +80,7 @@ def dumps_canonical(obj, indent: int = 0) -> str:
         return "null"
     if isinstance(obj, str):
         return json.dumps(obj)
-    if isinstance(obj, (bool, int, float)):
+    if isinstance(obj, numbers.Real):
         return format_number(obj)
     if isinstance(obj, dict):
         if not obj:

@@ -1,9 +1,11 @@
 """Lifetime distributions for basic events, and their scaled reference laws.
 
 Four families are supported: Exponential (parameterized by MTTF), Weibull,
-LogNormal and Normal, on the :class:`Lifetime` base.  Each family knows its
-density, CDF and quantile, and declares its own ``.dft`` keyword and
-parameter names, which the parser reads and writes events through.
+LogNormal and Normal, on the :class:`Lifetime` base.  Normal is always the
+exact Normal law truncated at zero, so every family lives on [0, inf).
+Each family knows its density, CDF and quantile, and declares its own
+``.dft`` keyword and parameter names, which the parser reads and writes
+events through.
 Survival is kept in log space only (``log_sf``; there is no linear-space
 survival method), so tail masses near 1e-300 stay meaningful.
 
@@ -41,9 +43,6 @@ __all__ = [
     "solve_reference",
     "solve_reference_bisect",
 ]
-
-# Normal mass below zero is folded into the law only when it matters.
-_TRUNCATION_THRESHOLD = 1e-12
 
 _MAX_LOG = math.log(sys.float_info.max)
 
@@ -227,9 +226,10 @@ class LogNormal(Lifetime):
 class Normal(Lifetime):
     """Normal lifetime truncated to non-negative times.
 
-    The mean acts as the scale parameter.  When the mass below zero exceeds
-    1e-12 the density and CDF are renormalized over [0, inf); below that the
-    stray mass is lumped at t = 0 by the quantile.
+    The mean acts as the scale parameter.  With ``m`` the Normal mass below
+    zero, the density, CDF, survival and quantile are those of the Normal
+    conditioned on [0, inf): ``cdf(0)`` is 0 and the density is divided by
+    ``1 - m``.
     """
 
     mean: float
@@ -253,40 +253,25 @@ class Normal(Lifetime):
     def _mass_below_zero(self) -> float:
         return float(ndtr(-self.mean / self.sd))
 
-    @property
-    def _renormalized(self) -> bool:
-        return self._mass_below_zero > _TRUNCATION_THRESHOLD
-
     def pdf(self, t):
         t = np.asarray(t, dtype=float)
         z = (t - self.mean) / self.sd
         out = np.exp(-0.5 * z * z) / (self.sd * math.sqrt(2.0 * math.pi))
-        if self._renormalized:
-            out = out / (1.0 - self._mass_below_zero)
-        return np.where(t >= 0.0, out, 0.0)
+        return np.where(t >= 0.0, out / (1.0 - self._mass_below_zero), 0.0)
 
     def cdf(self, t):
         t = np.asarray(t, dtype=float)
         lo = self._mass_below_zero
-        out = ndtr((t - self.mean) / self.sd)
-        if self._renormalized:
-            out = (out - lo) / (1.0 - lo)
+        out = (ndtr((t - self.mean) / self.sd) - lo) / (1.0 - lo)
         return np.clip(np.where(t >= 0.0, out, 0.0), 0.0, 1.0)
 
     def log_sf(self, t):
         t = np.asarray(t, dtype=float)
-        out = log_ndtr(-(t - self.mean) / self.sd)
-        if self._renormalized:
-            out = out - math.log1p(-self._mass_below_zero)
-        return out
+        return log_ndtr(-(t - self.mean) / self.sd) - math.log1p(-self._mass_below_zero)
 
     def _quantile01(self, p):
-        p = np.asarray(p, dtype=float)
-        if self._renormalized:
-            lo = self._mass_below_zero
-            q = self.mean + self.sd * ndtri(lo + p * (1.0 - lo))
-        else:
-            q = self.mean + self.sd * ndtri(p)
+        lo = self._mass_below_zero
+        q = self.mean + self.sd * ndtri(lo + np.asarray(p, dtype=float) * (1.0 - lo))
         return np.maximum(q, 0.0)
 
     def log_density_ratio(self, other: "Normal", t):
@@ -334,8 +319,7 @@ def solve_reference(dist: Lifetime, d: float, mission_time: float) -> float:
 
     - LogNormal: ``v = exp(log T + sigma * ndtri_exp(y))``;
     - Normal, with ``c = sd/mean`` kept fixed and ``m = ndtr(-1/c)`` the mass
-      below zero: ``x = ndtri_exp(y + log1p(-m))`` (the ``log1p(-m)`` term
-      only when the law is renormalized), then ``v = T / (1 - c*x)``.
+      below zero: ``x = ndtri_exp(y + log1p(-m))``, then ``v = T / (1 - c*x)``.
 
     d = 1 always returns the base scale exactly.  Raises
     ReferenceSolverError when v would underflow to zero or overflow.
@@ -357,9 +341,7 @@ def solve_reference(dist: Lifetime, d: float, mission_time: float) -> float:
         # math.exp raises OverflowError above this and returns 0.0 far below
         v = math.exp(log_v) if log_v < _MAX_LOG else math.inf
     else:
-        if dist._renormalized:
-            target += math.log1p(-dist._mass_below_zero)
-        cx = (dist.sd / dist.mean) * float(ndtri_exp(target))
+        cx = (dist.sd / dist.mean) * float(ndtri_exp(target + math.log1p(-dist._mass_below_zero)))
         if not cx < 1.0:
             raise ReferenceSolverError(
                 f"no reference scale matches a survival drop of {d!r} at mission time {mission_time!r}"

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import Exponential, LogNormal, Normal, Weibull
+from .distributions import Exponential, LogNormal, Normal, Weibull, _check_positive
 from .tree import BasicEvent, FaultTree, Gate, GateKind, top_time
 
 __all__ = [
@@ -49,7 +49,9 @@ def exact_static(tree: FaultTree, mission_time: float) -> ExactStaticResult:
     Each basic event is reduced to the Boolean "failed before the mission
     time" with probability p_i = F_i(T); every one of the 2^N joint states
     is weighted by its product mass and the tree is evaluated Boolean-wise.
+    Raises ValueError unless ``mission_time`` is finite and positive.
     """
+    _check_positive(mission_time, "mission_time")
     gates = tree.gate_order
     for gate in gates:
         if gate.kind not in _STATIC_KINDS:

@@ -76,7 +76,7 @@ class Gate:
         object.__setattr__(self, "children", tuple(self.children))
 
 
-@dataclass
+@dataclass(frozen=True)
 class FaultTree:
     """Ordered node set plus the name of the TOP node.
 
@@ -84,7 +84,8 @@ class FaultTree:
     :class:`ValidationError` here and every tree has :attr:`gate_order`:
     the gates in children-first order, a gate at TOP last.  Basic events
     keep their declaration order, and sample vectors are indexed by
-    position in :attr:`basic_events`.
+    position in :attr:`basic_events`.  A tree is frozen, so its order and
+    name index cannot fall out of step with its nodes.
     """
 
     nodes: tuple[BasicEvent | Gate, ...]
@@ -93,7 +94,7 @@ class FaultTree:
     _by_name: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.nodes = tuple(self.nodes)
+        object.__setattr__(self, "nodes", tuple(self.nodes))
         validate(self)
 
     @property
@@ -187,8 +188,8 @@ def validate(tree: FaultTree) -> FaultTree:
     if unreachable:
         raise ValidationError("nodes unreachable from top: " + ", ".join(unreachable))
 
-    tree._by_name = by_name
-    tree.gate_order = tuple(gate_order)
+    object.__setattr__(tree, "_by_name", by_name)
+    object.__setattr__(tree, "gate_order", tuple(gate_order))
     return tree
 
 

@@ -5,9 +5,10 @@ from contextlib import redirect_stderr, redirect_stdout
 from importlib import resources
 
 import jsonschema
+import numpy as np
 import pytest
 
-from dftmc import RunConfig, estimate_top, parse, to_fault_tree
+from dftmc import BasicEvent, Exponential, FaultTree, Gate, GateKind, RunConfig, estimate_top, parse, to_fault_tree
 from dftmc.cli import _print_text_report, build_arg_parser, build_report, dumps_canonical, format_number, main
 from dftmc.engine import MAX_SEARCH_ITERATIONS
 from conftest import IMPOSSIBLE_DFT, STATIC_OR2_DFT
@@ -44,6 +45,11 @@ def schema():
         (3.2e-14, "3.2e-14"),
         (0.0005, "5.0e-04"),
         (42, "42"),
+        (True, "true"),
+        # numpy scalars are written as the Python numbers they equal
+        pytest.param(np.float64(1.0), "1.0", id="np.float64-1.0"),
+        pytest.param(np.float64(3.2e-14), "3.2e-14", id="np.float64-3.2e-14"),
+        pytest.param(np.int64(42), "42", id="np.int64-42"),
     ],
 )
 def test_format_number(value, expected):
@@ -51,8 +57,6 @@ def test_format_number(value, expected):
 
 
 def test_format_number_round_trips():
-    import numpy as np
-
     rng = np.random.default_rng(0)
     for _ in range(500):
         x = float(rng.standard_normal()) * 10.0 ** int(rng.integers(-20, 20))
@@ -65,6 +69,23 @@ def test_dumps_canonical_is_valid_json():
         "a": [1, 2.5e-9, None, "x"],
         "b": {"c": True},
     }
+
+
+def _and2_report(real, integer):
+    # every float the caller supplies is built by ``real``, and one integer
+    # field by ``integer``; at d = 1 each law's own scale is the report's v
+    events = (BasicEvent("A", Exponential(real(5.0))), BasicEvent("B", Exponential(real(7.0))))
+    tree = FaultTree((*events, Gate("TOP", GateKind.AND, ("A", "B"))), "TOP")
+    config = RunConfig(mission_time=real(1.0), cycles=1_000, method="importance", fixed_d=1.0)
+    report = build_report("and2.dft", "", tree, config, estimate_top(tree, config), 0.0)
+    report["tree"]["basic_events"] = integer(2)
+    return dumps_canonical(report)
+
+
+def test_report_with_numpy_numbers_is_the_python_report():
+    text = _and2_report(np.float64, np.int64)
+    assert json.loads(text)["reference"]["events"][1]["v"] == 7.0
+    assert text == _and2_report(float, int)
 
 
 # -- check --------------------------------------------------------------------

@@ -23,8 +23,8 @@ from treegen import random_tree
 MISSION = 1.0
 
 # Five events of all four families: a vote over Weibull/LogNormal/Normal
-# (the Normal renormalized), a pand with an exp event, an or with a second
-# Normal.  TOP fails before T = 1 with probability about 5e-8.
+# (the Normal with mass 3e-5 below zero), a pand with an exp event, an or
+# with a second Normal.  TOP fails before T = 1 with probability about 5e-8.
 MIXED_DFT = """\
 dft 1
 mission_time 1.0

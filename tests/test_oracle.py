@@ -37,6 +37,17 @@ def test_exact_or_two():
     assert result.term_count == 4
 
 
+@pytest.mark.parametrize("mission_time", [math.nan, -1.0, 0.0, math.inf])
+def test_exact_refuses_mission_time_not_finite_and_positive(mission_time):
+    tree = static_tree(
+        [BasicEvent("A", exp_with_p(0.1)), BasicEvent("B", exp_with_p(0.1))],
+        [Gate("T", GateKind.OR, ("A", "B"))],
+        "T",
+    )
+    with pytest.raises(ValueError, match="mission_time must be a finite positive number"):
+        exact_static(tree, mission_time)
+
+
 def test_exact_and_two():
     tree = static_tree(
         [BasicEvent("A", exp_with_p(0.2)), BasicEvent("B", exp_with_p(0.3))],

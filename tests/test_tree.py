@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -106,6 +107,15 @@ def test_validate_overlap_shape():
     # checking again is harmless and hands back the same tree
     assert validate(tree) is tree
     assert [g.name for g in tree.gate_order] == ["A", "B", "TOP"]
+
+
+def test_tree_cannot_be_changed_after_it_is_built():
+    tree = FaultTree((be("X"), be("Y"), Gate("G", GateKind.AND, ("X", "Y"))), top="G")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        tree.nodes = (be("X"), be("Y"), Gate("G", GateKind.OR, ("X", "Y")))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        tree.top = "X"
+    assert top_time(tree, [1.0, 2.0]) == 2.0
 
 
 def test_validate_cycle_names_cycle():

@@ -48,7 +48,8 @@ def dist_with_failure_probability(rng: np.random.Generator, p: float, mission_ti
     if family == 2:
         sigma = float(rng.uniform(0.3, 1.5))
         return LogNormal(math.log(t) - sigma * _ndtri(p), sigma)
-    # mean/sd ratio 8 keeps the sub-zero mass below the truncation threshold
+    # mean/sd ratio 8 leaves ndtr(-8) ~ 6e-16 of mass below zero, so truncating
+    # it moves F(T) off p by no more than that
     z = _ndtri(p)
     mean = t / (1.0 + z / 8.0)
     return Normal(mean, mean / 8.0)
