@@ -27,7 +27,15 @@ from collections import Counter
 
 from . import __version__
 from .distributions import ReferenceSolverError
-from .engine import MAX_SEARCH_ITERATIONS, Estimate, RunConfig, SearchError, SearchTrace, estimate_top
+from .engine import (
+    AUTO_THREADS_MIN_EVENTS,
+    MAX_SEARCH_ITERATIONS,
+    Estimate,
+    RunConfig,
+    SearchError,
+    SearchTrace,
+    estimate_top,
+)
 from .oracle import (
     TreeTooLargeError,
     UnsupportedTreeError,
@@ -326,7 +334,9 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--confidence", type=float)
     p_run.add_argument("--seed", type=int)
     p_run.add_argument("--method", choices=["auto", "is", "direct"], default="auto")
-    p_run.add_argument("--threads", type=int)
+    p_run.add_argument("--threads", type=int,
+                       help="worker threads (default: every available core for trees of "
+                            f"{AUTO_THREADS_MIN_EVENTS} or more basic events, else 1)")
     p_run.add_argument("--format", choices=["text", "json"], default="text")
     p_run.set_defaults(func=cmd_run)
 

@@ -25,6 +25,7 @@ independent cross-check.
 from __future__ import annotations
 
 import math
+import numbers
 import sys
 from dataclasses import dataclass
 
@@ -52,7 +53,8 @@ class ReferenceSolverError(RuntimeError):
 
 
 def _check_positive(value: float, name: str) -> None:
-    if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0):
+    # any real number type passes, numpy scalars included, as in RunConfig
+    if not (isinstance(value, numbers.Real) and math.isfinite(value) and value > 0):
         raise ValueError(f"{name} must be a finite positive number, got {value!r}")
 
 

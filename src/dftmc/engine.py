@@ -8,7 +8,8 @@ construction of the reference scales the tail factor equals the common
 drop parameter ``d`` for every event.
 
 There is one sampling-and-weight path, and it works on whole batches:
-``sample_times`` turns a matrix of uniforms into failure times and
+``sample_times`` draws a block's uniforms from its stream straight into an
+event-major buffer and turns them into failure times in place, and
 ``log_weights`` turns a matrix of failure times into per-cycle log
 likelihood ratios.  No other code samples or weights cycles.
 
@@ -20,13 +21,16 @@ log d.
 Reproducibility contract: cycle j draws its randomness from a counter-based
 (Philox) substream determined by (seed, phase, j // BATCH), and partial sums
 are merged in fixed batch order, so results are bit-identical for any thread
-count.
+count.  Each worker reuses one block buffer, so a run holds at most one per
+worker.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
+import os
+import queue
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -55,6 +59,14 @@ __all__ = [
 # Cycles per random substream block.  Fixed: results must not depend on the
 # number of worker threads, only on (seed, phase, cycle index).
 BATCH = 4096
+
+# Uniforms drawn per row chunk while filling a block buffer: the chunk's
+# (rows, events) matrix stays cache-sized whatever the tree's width.
+DRAW_CHUNK = 1 << 16
+
+# Trees with fewer basic events than this run on one thread unless told
+# otherwise: their blocks are too cheap for workers to pay (docs/design-notes.md).
+AUTO_THREADS_MIN_EVENTS = 16
 
 _MASK64 = (1 << 64) - 1
 
@@ -86,7 +98,7 @@ class RunConfig:
     confidence: float = 0.999
     seed: int = 0  # in [0, 2**64)
     method: str = "auto"  # auto | importance | direct
-    threads: int = 1
+    threads: int | None = None  # None: automatic (see _worker_count)
     fixed_d: float | None = None  # skip the search (importance only)
 
     def __post_init__(self):
@@ -94,6 +106,8 @@ class RunConfig:
             raise ValueError(f"mission_time must be positive, got {self.mission_time!r}")
         for name in ("cycles", "prelim_cycles", "ampos_low", "ampos_high", "threads", "seed"):
             value = getattr(self, name)
+            if name == "threads" and value is None:
+                continue
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
             # a numpy integer becomes a Python int, which seeds and reports take
@@ -113,7 +127,7 @@ class RunConfig:
             raise ValueError(f"confidence must be in (0, 1), got {self.confidence!r}")
         if self.method not in ("auto", "importance", "direct"):
             raise ValueError(f"method must be auto, importance or direct, got {self.method!r}")
-        if self.threads < 1:
+        if self.threads is not None and self.threads < 1:
             raise ValueError("threads must be at least 1")
         if self.fixed_d is not None and not (math.isfinite(self.fixed_d) and self.fixed_d >= 1.0):
             raise ValueError(f"fixed_d must be >= 1, got {self.fixed_d!r}")
@@ -192,42 +206,62 @@ def _stream(seed: int, phase: int, batch_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key, counter=batch_index << 128))
 
 
-def sample_times(refs: ReferenceModel, u: np.ndarray) -> np.ndarray:
-    """Failure times for a ``(rows, events)`` matrix of uniforms in [0, 1).
+def _fill_uniforms(gen: np.random.Generator, out: np.ndarray) -> None:
+    """Fill an event-major ``(events, rows)`` buffer from ``gen``.
 
-    Column i is inverse-transformed through event i's reference law.  Each
-    cycle consumes exactly one uniform per event, which keeps the
-    counter-based substreams aligned.
-
-    The result has the shape of ``u`` but is stored event-major (a
-    transposed view of an ``(events, rows)`` buffer), so every event's
-    column is contiguous.  The uniforms are copied once into that buffer
-    and each event's row is inverted in place.
+    Cycle ``j`` gets the uniforms that row ``j`` of ``gen.random((rows,
+    events))`` would hold, bit for bit: the stream is read row by row in
+    chunks of about ``DRAW_CHUNK`` uniforms, and each chunk is written
+    transposed into its columns of ``out``.
     """
-    buf = u.T.copy()
+    events, rows = out.shape
+    step = max(1, DRAW_CHUNK // events)
+    for r0 in range(0, rows, step):
+        r1 = min(rows, r0 + step)
+        out[:, r0:r1] = gen.random((r1 - r0, events)).T
+
+
+def sample_times(refs: ReferenceModel, gen: np.random.Generator, out: np.ndarray) -> np.ndarray:
+    """Failure times of ``out.shape[1]`` cycles drawn from ``gen``.
+
+    ``out`` is an event-major ``(events, rows)`` float buffer.  It is
+    filled with uniforms by :func:`_fill_uniforms`, so each cycle consumes
+    exactly one uniform per event, which keeps the counter-based
+    substreams aligned, and event i's row is then inverted in place
+    through its reference law.  The result is the transposed view of
+    ``out``: shape ``(rows, events)``, with every event's column
+    contiguous.
+    """
+    if out.shape[0] != len(refs.refs):
+        raise ValueError("buffer height does not match reference model")
+    _fill_uniforms(gen, out)
     # a law whose lifetimes exceed the float range maps its tail to inf,
     # which is the correct lifetime; the overflow on the way is not an error
     with np.errstate(over="ignore"):
         for i, ref in enumerate(refs.refs):
-            buf[i] = ref._quantile01(buf[i])
-    return buf.T
+            out[i] = ref._quantile01(out[i])
+    return out.T
 
 
-def log_weights(refs: ReferenceModel, times: np.ndarray, mission_time: float) -> np.ndarray:
+def log_weights(
+    refs: ReferenceModel, times: np.ndarray, mission_time: float, mask: np.ndarray | None = None
+) -> np.ndarray:
     """Per-row log likelihood ratio of a ``(rows, events)`` times matrix.
 
     Every basic event contributes a factor: the density ratio f(t)/g(t) when
     its time is inside the mission window, the tail-mass ratio
-    (1-F(T))/(1-G(T)) otherwise.
+    (1-F(T))/(1-G(T)) otherwise.  With a boolean ``mask`` only the rows it
+    selects are weighted, in order; each event's column is compressed on
+    its own, so the selected rows are never copied out as a matrix.
     """
     if times.shape[1] != len(refs.refs):
         raise ValueError("times matrix width does not match reference model")
-    logw = np.zeros(times.shape[0])
+    logw = np.zeros(times.shape[0] if mask is None else np.count_nonzero(mask))
     # both branches are evaluated; an infinite time gives inf - inf in the
     # density ratio, which the tail branch then replaces
     with np.errstate(invalid="ignore"):
         for i, ref in enumerate(refs.refs):
-            col = times[:, i]
+            col = times[:, i] if mask is None else times[:, i][mask]
             logw += np.where(
                 col < mission_time,
                 ref.log_density_ratio(col),
@@ -236,9 +270,29 @@ def log_weights(refs: ReferenceModel, times: np.ndarray, mission_time: float) ->
     return logw
 
 
-def _compute_batch(tree, refs, mission_time, weighted, seed, phase, batch_index, rows):
-    u = _stream(seed, phase, batch_index).random((rows, len(refs.refs)))
-    times = sample_times(refs, u)
+def _worker_count(config: RunConfig, n_events: int, n_blocks: int) -> int:
+    """Worker threads a run of ``n_blocks`` blocks uses.
+
+    An explicit ``config.threads`` is honoured; ``None`` means the cores
+    this process may run on for trees of at least
+    ``AUTO_THREADS_MIN_EVENTS`` basic events, and one thread below that.
+    Either way there are no more workers than blocks.
+    """
+    threads = config.threads
+    if threads is None:
+        threads = _available_cores() if n_events >= AUTO_THREADS_MIN_EVENTS else 1
+    return min(threads, n_blocks)
+
+
+def _available_cores() -> int:
+    if hasattr(os, "sched_getaffinity"):  # the cores this process may run on
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _compute_batch(tree, refs, mission_time, weighted, gen, buf):
+    rows = buf.shape[1]
+    times = sample_times(refs, gen, buf)
     top = batch_top_times(tree, times)
     indicator = top < mission_time
     hits = int(np.count_nonzero(indicator))
@@ -247,7 +301,7 @@ def _compute_batch(tree, refs, mission_time, weighted, seed, phase, batch_index,
     # only hit rows are weighted; scattering them into zeros gives np.sum
     # the same array, and so the same pairwise sum, as weighting every row
     terms = np.zeros(rows)
-    terms[indicator] = np.exp(log_weights(refs, times[indicator], mission_time))
+    terms[indicator] = np.exp(log_weights(refs, times, mission_time, indicator))
     return hits, float(np.sum(terms)), float(np.sum(terms * terms))
 
 
@@ -264,29 +318,38 @@ def run_batch(
 
     Work is split into fixed-size batches; each batch is an independent
     substream and its partial sums are merged in batch order, which makes
-    the totals independent of the thread count.
+    the totals independent of the thread count.  The block buffers are
+    allocated here, one per worker, and lent to the workers through a
+    queue, so the run's working set is bounded by
+    ``workers * events * BATCH`` floats.
     """
     if n_cycles < 0:
         raise ValueError("n_cycles must be non-negative")
     if tuple(be.name for be in tree.basic_events) != refs.events:
         raise ValueError("reference model does not match the tree's basic events")
+    n_events = len(refs.refs)
     n_batches = (n_cycles + BATCH - 1) // BATCH
-    jobs = [
-        (b, min(BATCH, n_cycles - b * BATCH))
-        for b in range(n_batches)
-    ]
+    workers = _worker_count(config, n_events, n_batches)
+    buffers: queue.SimpleQueue = queue.SimpleQueue()
+    for _ in range(workers):
+        buffers.put(np.empty((n_events, min(BATCH, n_cycles))))
 
-    def work(job):
-        b, rows = job
-        return _compute_batch(
-            tree, refs, config.mission_time, weighted, config.seed, phase, b, rows
-        )
+    def work(b):
+        rows = min(BATCH, n_cycles - b * BATCH)
+        buf = buffers.get()
+        try:
+            return _compute_batch(
+                tree, refs, config.mission_time, weighted,
+                _stream(config.seed, phase, b), buf[:, :rows],
+            )
+        finally:
+            buffers.put(buf)
 
-    if config.threads > 1 and len(jobs) > 1:
-        with ThreadPoolExecutor(max_workers=config.threads) as pool:
-            partials = list(pool.map(work, jobs))
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            partials = list(pool.map(work, range(n_batches)))
     else:
-        partials = [work(j) for j in jobs]
+        partials = [work(b) for b in range(n_batches)]
 
     hits = sum(p[0] for p in partials)
     weight_sum = math.fsum(p[1] for p in partials)

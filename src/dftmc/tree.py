@@ -25,6 +25,7 @@ events by position from :attr:`FaultTree.basic_events`, then visits
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -281,21 +282,29 @@ def batch_top_times(tree: FaultTree, times: np.ndarray) -> np.ndarray:
     Every gate works elementwise on whole event columns, so any memory
     layout gives the same result; the engine passes an event-major matrix
     (a transposed ``(events, cycles)`` buffer), whose columns are
-    contiguous.  A vote gate is a min/max selection
-    (:func:`_kth_smallest`), not a sort.
+    contiguous.  No gate stacks its inputs: a vote gate is a min/max
+    selection (:func:`_kth_smallest`), not a sort.  A gate's output is
+    dropped once its last consumer has read it, so only the live ones are
+    held.
     """
     gates = tree.gate_order
     events = tree.basic_events
     times = np.asarray(times, dtype=float)
     if times.ndim != 2 or times.shape[1] != len(events):
         raise ValueError("times must have one column per basic event")
+    last_use = {c: j for j, node in enumerate(gates) for c in node.children}
     values = {be.name: times[:, i] for i, be in enumerate(events)}
-    for node in gates:
+    for j, node in enumerate(gates):
         kids = [values[c] for c in node.children]
+        for c in node.children:
+            if last_use[c] == j:
+                values.pop(c, None)
+        # or, and and seq chain the two-input ufunc: a left fold, as
+        # ufunc.reduce over the stacked inputs is, but with no stack
         if node.kind is GateKind.OR:
-            out = np.minimum.reduce(kids)
+            out = functools.reduce(np.minimum, kids)
         elif node.kind is GateKind.AND:
-            out = np.maximum.reduce(kids)
+            out = functools.reduce(np.maximum, kids)
         elif node.kind is GateKind.VOTING:
             out = _kth_smallest(kids, node.k)
         elif node.kind is GateKind.PAND:
@@ -304,7 +313,7 @@ def batch_top_times(tree: FaultTree, times: np.ndarray) -> np.ndarray:
                 ordered &= a <= b
             out = np.where(ordered, kids[-1], np.inf)
         elif node.kind is GateKind.SEQ:
-            out = np.add.reduce(kids)
+            out = functools.reduce(np.add, kids)
         elif node.kind is GateKind.SPARE:
             z1, z2 = kids
             a = node.dormancy

@@ -26,6 +26,15 @@ FAMILIES = [
 ]
 
 
+def test_numpy_numbers_are_accepted_as_parameters():
+    # numpy integers are real numbers, though not Python ints
+    assert Exponential(np.int64(5)) == Exponential(5.0)
+    assert Normal(np.float32(5.0), np.int32(1)).sd == 1
+    for bad in (np.int64(0), np.float64("nan"), np.float64("inf"), "5"):
+        with pytest.raises(ValueError):
+            Exponential(bad)
+
+
 def test_exponential_pdf_at_zero():
     assert float(Exponential(1000.0).pdf(0.0)) == pytest.approx(0.001, rel=1e-12)
 

@@ -1,12 +1,17 @@
 import math
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from dftmc import BasicEvent, FaultTree, Gate, GateKind, RunConfig, estimate_top, parse, to_fault_tree
+from dftmc import engine
 from dftmc.distributions import Exponential, solve_reference
 from dftmc.engine import (
+    AUTO_THREADS_MIN_EVENTS,
     BATCH,
+    DRAW_CHUNK,
     MAX_SEARCH_ITERATIONS,
     BatchTotals,
     SearchError,
@@ -15,7 +20,9 @@ from dftmc.engine import (
     run_batch,
     sample_times,
     select_reference,
+    _fill_uniforms,
     _stream,
+    _worker_count,
 )
 from dftmc.tree import batch_top_times
 from treegen import random_tree
@@ -43,6 +50,20 @@ top TOP
 @pytest.fixture(scope="module")
 def mixed_tree():
     return to_fault_tree(parse(MIXED_DFT))
+
+
+# 64 events of all four families under every gate kind.  A block of it
+# spans several draw chunks, and the automatic rule runs it on threads.  At
+# T = 3 some rows hit at d = 1, 2 and 8, and some miss.
+WIDE_MISSION = 3.0
+
+
+@pytest.fixture(scope="module")
+def wide_tree():
+    tree = random_tree(np.random.default_rng(4), 64)
+    assert DRAW_CHUNK // len(tree.basic_events) < BATCH
+    assert len(tree.basic_events) >= AUTO_THREADS_MIN_EVENTS
+    return tree
 
 
 def single_event_tree(dist):
@@ -93,14 +114,38 @@ def test_numpy_integer_knobs_run_like_python_ints(overlap_tree):
     assert estimate_top(overlap_tree, config) == plain
 
 
+def test_numpy_integer_mission_time_runs_importance_sampling(overlap_tree):
+    # the reference solver checks the mission time as a real number, so a
+    # numpy integer gets past the pilot
+    est = estimate_top(overlap_tree, RunConfig(mission_time=np.int64(1), method="importance"))
+    assert est.method == "importance" and est.p_hat > 0
+    assert est == estimate_top(overlap_tree, RunConfig(mission_time=1.0, method="importance"))
+
+
 # -- sampling -----------------------------------------------------------------
+
+
+@pytest.mark.parametrize("rows, events", [(1, 1), (1000, 7), (905, 33), (4096, 200), (4096, 300)])
+def test_fill_uniforms_keeps_the_row_major_draw_order(rows, events):
+    # chunk edges fall inside the block, and a short block ends in a part chunk
+    out = np.empty((events, rows))
+    _fill_uniforms(_stream(21, 2, 7), out)
+    expected = _stream(21, 2, 7).random((rows, events)).T
+    assert out.tobytes() == np.ascontiguousarray(expected).tobytes()
+
+
+def test_sample_times_rejects_mismatched_buffer(overlap_tree):
+    model = build_reference_model(overlap_tree, 2.0, MISSION)
+    with pytest.raises(ValueError, match="buffer"):
+        sample_times(model, _stream(0, 0, 0), np.empty((3, 10)))
 
 
 def test_sample_times_deterministic():
     tree = single_event_tree(Exponential(1000.0))
     model = build_reference_model(tree, 2.0, MISSION)
-    a = sample_times(model, _stream(9, 1, 0).random((3, 1)))
-    b = sample_times(model, _stream(9, 1, 0).random((3, 1)))
+    a = sample_times(model, _stream(9, 1, 0), np.empty((1, 3)))
+    b = sample_times(model, _stream(9, 1, 0), np.empty((1, 3)))
+    assert a.shape == (3, 1)
     assert [x[0] for x in a] == [x[0] for x in b]
 
 
@@ -118,7 +163,7 @@ def test_sample_times_match_base_law_at_d_one():
     tree = single_event_tree(dist)
     model = build_reference_model(tree, 1.0, MISSION)
     gen = _stream(1234, 0, 0)
-    draws = sample_times(model, gen.random((100_000, 1)))[:, 0]
+    draws = sample_times(model, gen, np.empty((1, 100_000)))[:, 0]
     assert _ks_distance(draws, lambda t: np.asarray(dist.cdf(t))) < 0.01
 
 
@@ -128,7 +173,7 @@ def test_sample_times_match_reference_law_at_d_two():
     assert model.vs[0] == pytest.approx(1.44062, rel=1e-5)
     ref = Exponential(model.vs[0])
     gen = _stream(99, 0, 0)
-    draws = sample_times(model, gen.random((100_000, 1)))[:, 0]
+    draws = sample_times(model, gen, np.empty((1, 100_000)))[:, 0]
     assert _ks_distance(draws, lambda t: np.asarray(ref.cdf(t))) < 0.01
 
 
@@ -144,8 +189,17 @@ def test_weight_is_exactly_one_at_d_one():
     tree = random_tree(rng, 5)
     model = build_reference_model(tree, 1.0, MISSION)
     gen = _stream(5, 0, 0)
-    times = sample_times(model, gen.random((200, len(model.refs))))
+    times = sample_times(model, gen, np.empty((len(model.refs), 200)))
     assert np.all(_weights(model, times) == 1.0)
+
+
+def test_log_weights_of_masked_rows_equal_those_of_the_selected_matrix(mixed_tree):
+    model = build_reference_model(mixed_tree, 8.0, MISSION)
+    times = sample_times(model, _stream(6, 0, 0), np.empty((len(model.refs), 500)))
+    mask = batch_top_times(mixed_tree, times) < MISSION
+    assert 0 < np.count_nonzero(mask) < 500
+    masked = log_weights(model, times, MISSION, mask)
+    assert masked.tobytes() == log_weights(model, times[mask], MISSION).tobytes()
 
 
 def test_tail_factor_equals_d():
@@ -223,13 +277,66 @@ def test_run_batch_overlap_pilot_scale(overlap_tree):
         assert 10 <= totals.hits <= 100
 
 
-def test_run_batch_thread_invariance(overlap_tree):
-    model = build_reference_model(overlap_tree, 2.0, MISSION)
-    c1 = RunConfig(mission_time=MISSION, seed=11, threads=1)
-    c4 = RunConfig(mission_time=MISSION, seed=11, threads=4)
-    t1 = run_batch(overlap_tree, model, c1, 50_000)
-    t4 = run_batch(overlap_tree, model, c4, 50_000)
-    assert t1 == t4
+def test_run_batch_thread_invariance(overlap_tree, wide_tree):
+    # the 4-event tree runs serially under the automatic rule, the 64-event
+    # one on every core
+    for tree, mission in ((overlap_tree, MISSION), (wide_tree, WIDE_MISSION)):
+        model = build_reference_model(tree, 2.0, mission)
+        totals = [
+            run_batch(tree, model, RunConfig(mission_time=mission, seed=11, threads=threads), 50_000)
+            for threads in (1, 2, 4, None)
+        ]
+        assert all(t == totals[0] for t in totals)
+        assert 0 < totals[0].hits < 50_000
+
+
+def test_block_buffers_are_not_shared_under_thread_contention(wide_tree):
+    # more workers than cores, switching threads every microsecond: a buffer
+    # lent to two workers at once would mix their blocks' uniforms
+    model = build_reference_model(wide_tree, 2.0, WIDE_MISSION)
+    serial = run_batch(wide_tree, model, RunConfig(mission_time=WIDE_MISSION, seed=5, threads=1), 20 * BATCH)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        config = RunConfig(mission_time=WIDE_MISSION, seed=5, threads=8)
+        for _ in range(3):
+            assert run_batch(wide_tree, model, config, 20 * BATCH) == serial
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_automatic_threads(monkeypatch):
+    monkeypatch.setattr(engine, "_available_cores", lambda: 8)
+    auto = RunConfig(mission_time=MISSION)
+    assert auto.threads is None
+    assert _worker_count(auto, AUTO_THREADS_MIN_EVENTS - 1, 25) == 1
+    assert _worker_count(auto, AUTO_THREADS_MIN_EVENTS, 25) == 8
+    # never more workers than blocks: a one-block pilot runs serially
+    assert _worker_count(auto, 200, 3) == 3
+    assert _worker_count(auto, 200, 1) == 1
+    assert _worker_count(auto, 200, 0) == 0
+    # an explicit count is honoured, whatever the tree's size
+    assert _worker_count(RunConfig(mission_time=MISSION, threads=3), 4, 25) == 3
+    assert _worker_count(RunConfig(mission_time=MISSION, threads=1), 200, 25) == 1
+
+
+def test_run_batch_working_set_is_one_block_buffer_per_worker():
+    # every row of this tree hits at d = 8, so the weighted run weights
+    # whole blocks
+    threads, n_events = 2, 200
+    bound = threads * n_events * BATCH * 8 * 1.25
+    tree = random_tree(np.random.default_rng(5), n_events)
+    for d, weighted in ((1.0, False), (8.0, True)):
+        model = build_reference_model(tree, d, MISSION)
+        config = RunConfig(mission_time=MISSION, seed=2, threads=threads)
+        tracemalloc.start()
+        try:
+            totals = run_batch(tree, model, config, 100_000, weighted=weighted)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound
+        assert totals.hits > 0
 
 
 def _reference_totals(tree, model, config, n_cycles, phase):
@@ -258,20 +365,24 @@ def _reference_totals(tree, model, config, n_cycles, phase):
 
 
 @pytest.mark.parametrize("d", [8.0, 2.0, 1.0])
-def test_run_batch_weights_equal_all_row_reference(mixed_tree, d):
-    # two full blocks and a short one; about 90% of rows hit at d = 8 and
-    # half at d = 2 (where summing only the hit terms would move low
-    # bits); at d = 1 no block has a hit, so every block's terms are zero
+def test_run_batch_weights_equal_all_row_reference(mixed_tree, wide_tree, d):
+    # two full blocks and a short one.  On the mixed tree about 90% of rows
+    # hit at d = 8 and half at d = 2 (where summing only the hit terms would
+    # move low bits); at d = 1 no block has a hit, so every block's terms
+    # are zero.  The wide tree's blocks span several draw chunks and run on
+    # worker threads unless told otherwise.
     n_cycles = 2 * BATCH + 100
-    model = build_reference_model(mixed_tree, d, MISSION)
-    config = RunConfig(mission_time=MISSION, seed=4)
-    totals = run_batch(mixed_tree, model, config, n_cycles, phase=3)
-    reference = _reference_totals(mixed_tree, model, config, n_cycles, phase=3)
-    assert totals == reference
-    if d == 1.0:
-        assert (totals.hits, totals.weight_sum, totals.weight_sq_sum) == (0, 0.0, 0.0)
-    else:
-        assert 0 < totals.hits < n_cycles and totals.weight_sum > 0.0
+    for tree, mission in ((mixed_tree, MISSION), (wide_tree, WIDE_MISSION)):
+        model = build_reference_model(tree, d, mission)
+        for threads in (1, 2, None):
+            config = RunConfig(mission_time=mission, seed=4, threads=threads)
+            totals = run_batch(tree, model, config, n_cycles, phase=3)
+            reference = _reference_totals(tree, model, config, n_cycles, phase=3)
+            assert totals == reference
+            if tree is mixed_tree and d == 1.0:
+                assert (totals.hits, totals.weight_sum, totals.weight_sq_sum) == (0, 0.0, 0.0)
+            else:
+                assert 0 < totals.hits < n_cycles and totals.weight_sum > 0.0
 
 
 # -- reference search ---------------------------------------------------------
@@ -444,9 +555,10 @@ def test_estimates_match_golden_bits(overlap_tree, mixed_tree):
 
     The values were recorded from the row-major batch kernel (each event a
     strided column, vote gates by stack and sort, every row weighted)
-    before the event-major kernel replaced it.  That rework keeps the
-    stream, the formulas and the summation order, so these runs must not
-    move by one bit, at any thread count.
+    before the event-major kernel replaced it.  That rework, and the
+    copy-free draw into one reused buffer per worker, keep the stream, the
+    formulas and the summation order, so these runs must not move by one
+    bit, at any thread count, automatic included.
     """
     gen_tree = random_tree(np.random.default_rng(41), 30)
     assert sum(g.kind is GateKind.VOTING for g in gen_tree.gates) == 3
@@ -462,7 +574,7 @@ def test_estimates_match_golden_bits(overlap_tree, mixed_tree):
          ("0x1.1820000000000p-1", "0x1.687311356434fp-8", 4482)),
     ]
     for tree, kwargs, expected in runs:
-        for threads in (1, 2):
+        for threads in (1, 2, None):
             est = estimate_top(tree, RunConfig(threads=threads, **kwargs))
             assert (est.p_hat.hex(), est.std_err.hex(), est.hits) == expected
 
