@@ -28,7 +28,6 @@ from collections import Counter
 from . import __version__
 from .distributions import ReferenceSolverError
 from .engine import (
-    AUTO_THREADS_MIN_EVENTS,
     MAX_SEARCH_ITERATIONS,
     Estimate,
     RunConfig,
@@ -122,8 +121,6 @@ def _trace_rows(trace: SearchTrace | None):
 
 
 def _config_block(config: RunConfig):
-    # threads is an execution detail with no effect on results, so it is
-    # left out: reports are byte-identical for any worker count
     return {
         "mission_time": config.mission_time,
         "cycles": config.cycles,
@@ -270,7 +267,7 @@ def cmd_run(args) -> int:
     mission_time = _resolve_mission_time(args, doc)
     method = {"auto": "auto", "is": "importance", "direct": "direct"}[args.method]
     # unset knobs are left out, so RunConfig alone owns their defaults
-    knobs = ("cycles", "prelim_cycles", "ampos_low", "ampos_high", "confidence", "seed", "threads")
+    knobs = ("cycles", "prelim_cycles", "ampos_low", "ampos_high", "confidence", "seed")
     given = {k: getattr(args, k) for k in knobs if getattr(args, k) is not None}
     config = RunConfig(mission_time=mission_time, method=method, **given)
     started = time.perf_counter()
@@ -334,9 +331,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--confidence", type=float)
     p_run.add_argument("--seed", type=int)
     p_run.add_argument("--method", choices=["auto", "is", "direct"], default="auto")
-    p_run.add_argument("--threads", type=int,
-                       help="worker threads (default: every available core for trees of "
-                            f"{AUTO_THREADS_MIN_EVENTS} or more basic events, else 1)")
     p_run.add_argument("--format", choices=["text", "json"], default="text")
     p_run.set_defaults(func=cmd_run)
 

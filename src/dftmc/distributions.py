@@ -52,9 +52,13 @@ class ReferenceSolverError(RuntimeError):
     """No reference scale satisfies the survival-matching condition."""
 
 
+def _is_real(value) -> bool:
+    # numpy scalars pass; a bool does not, though Python counts it an int
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 def _check_positive(value: float, name: str) -> None:
-    # any real number type passes, numpy scalars included, as in RunConfig
-    if not (isinstance(value, numbers.Real) and math.isfinite(value) and value > 0):
+    if not (_is_real(value) and math.isfinite(value) and value > 0):
         raise ValueError(f"{name} must be a finite positive number, got {value!r}")
 
 
@@ -332,17 +336,25 @@ def solve_reference(dist: Lifetime, d: float, mission_time: float) -> float:
     if d == 1.0:
         return dist.scale
     log_d = math.log(d)
-    if isinstance(dist, Exponential):
-        return 1.0 / (1.0 / dist.mttf + log_d / mission_time)
-    if isinstance(dist, Weibull):
-        b = dist.shape
-        return mission_time / ((mission_time / dist.scale_param) ** b + log_d) ** (1.0 / b)
-    target = float(dist.log_sf(mission_time)) - log_d
-    if isinstance(dist, LogNormal):
+    if isinstance(dist, (Exponential, Weibull)):
+        # past the float range the scale overflows on its way to 0: a
+        # Python float power raises, a numpy number gives inf
+        try:
+            with np.errstate(over="ignore"):
+                if isinstance(dist, Exponential):
+                    v = 1.0 / (1.0 / dist.mttf + log_d / mission_time)
+                else:
+                    b = dist.shape
+                    v = mission_time / ((mission_time / dist.scale_param) ** b + log_d) ** (1.0 / b)
+        except OverflowError:
+            v = 0.0
+    elif isinstance(dist, LogNormal):
+        target = float(dist.log_sf(mission_time)) - log_d
         log_v = math.log(mission_time) + dist.sigma * float(ndtri_exp(target))
         # math.exp raises OverflowError above this and returns 0.0 far below
         v = math.exp(log_v) if log_v < _MAX_LOG else math.inf
     else:
+        target = float(dist.log_sf(mission_time)) - log_d
         cx = (dist.sd / dist.mean) * float(ndtri_exp(target + math.log1p(-dist._mass_below_zero)))
         if not cx < 1.0:
             raise ReferenceSolverError(

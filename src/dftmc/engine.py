@@ -38,6 +38,7 @@ import numpy as np
 from scipy.special import ndtri
 
 from .distributions import ReferenceDistribution, ReferenceSolverError, scale, solve_reference
+from .distributions import _check_positive, _is_real
 from .tree import FaultTree, batch_top_times
 
 __all__ = [
@@ -64,8 +65,8 @@ BATCH = 4096
 # (rows, events) matrix stays cache-sized whatever the tree's width.
 DRAW_CHUNK = 1 << 16
 
-# Trees with fewer basic events than this run on one thread unless told
-# otherwise: their blocks are too cheap for workers to pay (docs/design-notes.md).
+# Trees with fewer basic events than this run on one thread: their blocks
+# are too cheap for workers to pay (docs/design-notes.md).
 AUTO_THREADS_MIN_EVENTS = 16
 
 _MASK64 = (1 << 64) - 1
@@ -98,16 +99,12 @@ class RunConfig:
     confidence: float = 0.999
     seed: int = 0  # in [0, 2**64)
     method: str = "auto"  # auto | importance | direct
-    threads: int | None = None  # None: automatic (see _worker_count)
     fixed_d: float | None = None  # skip the search (importance only)
 
     def __post_init__(self):
-        if not (math.isfinite(self.mission_time) and self.mission_time > 0):
-            raise ValueError(f"mission_time must be positive, got {self.mission_time!r}")
-        for name in ("cycles", "prelim_cycles", "ampos_low", "ampos_high", "threads", "seed"):
+        _check_positive(self.mission_time, "mission_time")
+        for name in ("cycles", "prelim_cycles", "ampos_low", "ampos_high", "seed"):
             value = getattr(self, name)
-            if name == "threads" and value is None:
-                continue
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
             # a numpy integer becomes a Python int, which seeds and reports take
@@ -123,13 +120,11 @@ class RunConfig:
             )
         if self.cycles < self.prelim_cycles:
             raise ValueError("cycles must be >= prelim_cycles")
-        if not (0.0 < self.confidence < 1.0):
+        if not (_is_real(self.confidence) and 0.0 < self.confidence < 1.0):
             raise ValueError(f"confidence must be in (0, 1), got {self.confidence!r}")
         if self.method not in ("auto", "importance", "direct"):
             raise ValueError(f"method must be auto, importance or direct, got {self.method!r}")
-        if self.threads is not None and self.threads < 1:
-            raise ValueError("threads must be at least 1")
-        if self.fixed_d is not None and not (math.isfinite(self.fixed_d) and self.fixed_d >= 1.0):
+        if self.fixed_d is not None and not (_is_real(self.fixed_d) and 1.0 <= self.fixed_d < math.inf):
             raise ValueError(f"fixed_d must be >= 1, got {self.fixed_d!r}")
         if self.fixed_d is not None and self.method != "importance":
             raise ValueError(f"fixed_d needs method 'importance', got {self.method!r}")
@@ -270,17 +265,14 @@ def log_weights(
     return logw
 
 
-def _worker_count(config: RunConfig, n_events: int, n_blocks: int) -> int:
-    """Worker threads a run of ``n_blocks`` blocks uses.
+def _worker_count(n_events: int, n_blocks: int) -> int:
+    """Worker threads a run of ``n_blocks`` blocks over ``n_events`` events uses.
 
-    An explicit ``config.threads`` is honoured; ``None`` means the cores
-    this process may run on for trees of at least
-    ``AUTO_THREADS_MIN_EVENTS`` basic events, and one thread below that.
-    Either way there are no more workers than blocks.
+    Every core this process may run on (so ``taskset`` caps it) for trees
+    of at least ``AUTO_THREADS_MIN_EVENTS`` basic events, one thread below
+    that, and never more workers than blocks.  Results do not depend on it.
     """
-    threads = config.threads
-    if threads is None:
-        threads = _available_cores() if n_events >= AUTO_THREADS_MIN_EVENTS else 1
+    threads = _available_cores() if n_events >= AUTO_THREADS_MIN_EVENTS else 1
     return min(threads, n_blocks)
 
 
@@ -318,9 +310,10 @@ def run_batch(
 
     Work is split into fixed-size batches; each batch is an independent
     substream and its partial sums are merged in batch order, which makes
-    the totals independent of the thread count.  The block buffers are
-    allocated here, one per worker, and lent to the workers through a
-    queue, so the run's working set is bounded by
+    the totals independent of the thread count, which
+    :func:`_worker_count` picks from the tree's size and the available
+    cores.  The block buffers are allocated here, one per worker, and lent
+    to the workers through a queue, so the run's working set is bounded by
     ``workers * events * BATCH`` floats.
     """
     if n_cycles < 0:
@@ -329,7 +322,7 @@ def run_batch(
         raise ValueError("reference model does not match the tree's basic events")
     n_events = len(refs.refs)
     n_batches = (n_cycles + BATCH - 1) // BATCH
-    workers = _worker_count(config, n_events, n_batches)
+    workers = _worker_count(n_events, n_batches)
     buffers: queue.SimpleQueue = queue.SimpleQueue()
     for _ in range(workers):
         buffers.put(np.empty((n_events, min(BATCH, n_cycles))))

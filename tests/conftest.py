@@ -1,8 +1,9 @@
+import contextlib
 import pathlib
 
 import pytest
 
-from dftmc import parse, to_fault_tree
+from dftmc import engine, parse, to_fault_tree
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
 TREES = REPO / "trees"
@@ -21,6 +22,19 @@ gate S seq X Y
 gate TOP pand S X
 top TOP
 """
+
+
+@contextlib.contextmanager
+def worker_count(k):
+    """Runs inside use ``k`` workers, capped at the block count.
+
+    ``None`` keeps the engine's automatic rule.  The small test trees run
+    serially under that rule, so this is how their thread counts vary.
+    """
+    with pytest.MonkeyPatch.context() as m:
+        if k is not None:
+            m.setattr(engine, "_worker_count", lambda n_events, n_blocks: min(k, n_blocks))
+        yield
 
 
 @pytest.fixture(scope="session")

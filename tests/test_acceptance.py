@@ -26,6 +26,7 @@ from dftmc.distributions import Exponential, LogNormal, Normal, Weibull, scale, 
 from dftmc.engine import build_reference_model, log_weights, sample_times, _stream
 from dftmc.oracle import exact_static, smallp_pand_overlap
 from dftmc.tree import top_time
+from conftest import worker_count
 from treegen import random_sample, random_static_tree, random_tree
 
 MISSION = 1.0
@@ -335,7 +336,7 @@ def test_criterion_7_reference_solver():
 def test_criterion_8_determinism(overlap_path):
     def run(threads):
         buf = io.StringIO()
-        with redirect_stdout(buf):
+        with redirect_stdout(buf), worker_count(threads):
             code = main(
                 [
                     "run",
@@ -346,8 +347,6 @@ def test_criterion_8_determinism(overlap_path):
                     "20000",
                     "--format",
                     "json",
-                    "--threads",
-                    str(threads),
                 ]
             )
         assert code == 0

@@ -11,7 +11,7 @@ import pytest
 from dftmc import BasicEvent, Exponential, FaultTree, Gate, GateKind, RunConfig, estimate_top, parse, to_fault_tree
 from dftmc.cli import _print_text_report, build_arg_parser, build_report, dumps_canonical, format_number, main
 from dftmc.engine import MAX_SEARCH_ITERATIONS
-from conftest import IMPOSSIBLE_DFT, STATIC_OR2_DFT
+from conftest import IMPOSSIBLE_DFT, STATIC_OR2_DFT, worker_count
 
 
 def run_cli(args):
@@ -253,12 +253,21 @@ def test_text_search_table_labels_deciding_pilot_by_method(tmp_path, flags, note
 
 def test_run_deterministic_across_threads(overlap_path):
     args = ["run", str(overlap_path), "--seed", "7", "--cycles", "20000", "--format", "json"]
-    _, a, _ = run_cli(args + ["--threads", "1"])
-    _, b, _ = run_cli(args + ["--threads", "8"])
+    with worker_count(1):
+        _, a, _ = run_cli(args)
+    with worker_count(8):
+        _, b, _ = run_cli(args)
     ra, rb = json.loads(a), json.loads(b)
     ra.pop("wall_clock_seconds")
     rb.pop("wall_clock_seconds")
     assert dumps_canonical(ra) == dumps_canonical(rb)
+
+
+def test_run_has_no_threads_flag(overlap_path):
+    # the engine picks the worker count; only CPU affinity caps it
+    with pytest.raises(SystemExit) as info:
+        main(["run", str(overlap_path), "--threads", "2"])
+    assert info.value.code == 2
 
 
 def test_run_mission_time_flag_overrides(tmp_path):
@@ -366,6 +375,20 @@ def test_run_reference_solver_failure_exits_4(tmp_path):
     assert code == 4
     assert out == ""
     assert err.startswith("error: event L: reference scale for a survival drop of 8192.0")
+
+
+@pytest.mark.parametrize(
+    "event,line",
+    [("W", "be W weibull scale=1.0 shape=400.0"), ("E", "be E exp mttf=1e-310")],
+    ids=["weibull-power-overflows", "exp-scale-underflows"],
+)
+def test_run_closed_form_scale_out_of_float_range_exits_4(tmp_path, event, line):
+    # the d = 1 pilot misses, and at d = 2 the event's scale leaves the float range
+    text = f"dft 1\nmission_time 10.0\n{line}\nbe R exp mttf=1000000.0\ngate TOP and {event} R\ntop TOP\n"
+    code, out, err = run_cli(["run", write(tmp_path, "range.dft", text)])
+    assert code == 4
+    assert out == ""
+    assert err.startswith(f"error: event {event}: reference scale for a survival drop of 2.0")
 
 
 @pytest.mark.parametrize("mu", ["800", "-800"])

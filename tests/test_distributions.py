@@ -30,7 +30,7 @@ def test_numpy_numbers_are_accepted_as_parameters():
     # numpy integers are real numbers, though not Python ints
     assert Exponential(np.int64(5)) == Exponential(5.0)
     assert Normal(np.float32(5.0), np.int32(1)).sd == 1
-    for bad in (np.int64(0), np.float64("nan"), np.float64("inf"), "5"):
+    for bad in (np.int64(0), np.float64("nan"), np.float64("inf"), "5", True, np.True_):
         with pytest.raises(ValueError):
             Exponential(bad)
 
@@ -268,6 +268,14 @@ def test_solver_failure_when_scale_underflows():
         solve_reference_bisect(LogNormal(0.0, 50.0), 1e300, 1.0)
     with pytest.raises(ReferenceSolverError):
         solve_reference(LogNormal(0.0, 50.0), 1e300, 1.0)
+    # the closed forms leave the float range on their way to a scale of 0:
+    # (T/u)**b overflows, and so does 1/mttf; Python floats and numpy
+    # numbers alike, with no warning
+    for as_number in (float, np.float64):
+        with pytest.raises(ReferenceSolverError):
+            solve_reference(Weibull(as_number(1.0), as_number(400.0)), 2.0, 10.0)
+        with pytest.raises(ReferenceSolverError):
+            solve_reference(Exponential(as_number(1e-310)), 2.0, 10.0)
 
 
 def test_survival_ratio_equals_d():

@@ -2,7 +2,7 @@ import re
 import shlex
 
 from conftest import REPO
-from dftmc.cli import main
+from dftmc.cli import build_arg_parser, main
 
 
 def test_readme_library_example_runs(monkeypatch, capsys):
@@ -39,3 +39,17 @@ def test_readme_quick_start_transcripts_match_the_cli(monkeypatch, capsys):
         assert main(shlex.split(command)[2:]) == 0, command
         output = capsys.readouterr().out
         assert re.match(_transcript_pattern(shown), output), (command, output)
+
+
+def test_readme_run_flags_are_the_parsers():
+    readme = (REPO / "README.md").read_text()
+    paragraph = readme.split("`run` flags:", 1)[1].split("\n\n", 1)[0]
+    documented = set(re.findall(r"`(--[a-z-]+)", paragraph))
+    sub = next(a for a in build_arg_parser()._actions if a.dest == "command")
+    parsed = {
+        option
+        for action in sub.choices["run"]._actions
+        for option in action.option_strings
+        if option.startswith("--") and option != "--help"
+    }
+    assert documented == parsed

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import sys
 import tracemalloc
@@ -25,6 +26,7 @@ from dftmc.engine import (
     _worker_count,
 )
 from dftmc.tree import batch_top_times
+from conftest import worker_count
 from treegen import random_tree
 
 MISSION = 1.0
@@ -89,7 +91,8 @@ def exp_with_p(p):
         dict(mission_time=1.0, cycles=500, prelim_cycles=1000),
         dict(mission_time=1.0, confidence=1.0),
         dict(mission_time=1.0, method="bogus"),
-        dict(mission_time=1.0, threads=0),
+        # a bool is not a number, whatever Python says
+        dict(mission_time=True),
         dict(mission_time=1.0, fixed_d=0.5),
         # fixed_d skips the search, which only importance sampling runs
         dict(mission_time=0.01, fixed_d=4.0),
@@ -100,11 +103,23 @@ def exp_with_p(p):
         dict(mission_time=1.0, seed=-1),
         dict(mission_time=1.0, seed=2**64),
         dict(mission_time=1.0, seed=0.5),
+        dict(mission_time="1"),
+        dict(mission_time=1.0, confidence="0.9"),
+        dict(mission_time=1.0, confidence=True),
+        dict(mission_time=1.0, method="importance", fixed_d=True),
+        dict(mission_time=1.0, method="importance", fixed_d="2"),
     ],
 )
 def test_bad_config_rejected(kwargs):
     with pytest.raises(ValueError):
         RunConfig(**kwargs)
+
+
+def test_worker_count_is_not_a_knob():
+    # the automatic rule alone picks it; results do not depend on it
+    assert "threads" not in {f.name for f in dataclasses.fields(RunConfig)}
+    with pytest.raises(TypeError):
+        RunConfig(mission_time=1.0, threads=2)
 
 
 def test_numpy_integer_knobs_run_like_python_ints(overlap_tree):
@@ -282,10 +297,10 @@ def test_run_batch_thread_invariance(overlap_tree, wide_tree):
     # one on every core
     for tree, mission in ((overlap_tree, MISSION), (wide_tree, WIDE_MISSION)):
         model = build_reference_model(tree, 2.0, mission)
-        totals = [
-            run_batch(tree, model, RunConfig(mission_time=mission, seed=11, threads=threads), 50_000)
-            for threads in (1, 2, 4, None)
-        ]
+        totals = []
+        for threads in (1, 2, 4, None):
+            with worker_count(threads):
+                totals.append(run_batch(tree, model, RunConfig(mission_time=mission, seed=11), 50_000))
         assert all(t == totals[0] for t in totals)
         assert 0 < totals[0].hits < 50_000
 
@@ -294,30 +309,27 @@ def test_block_buffers_are_not_shared_under_thread_contention(wide_tree):
     # more workers than cores, switching threads every microsecond: a buffer
     # lent to two workers at once would mix their blocks' uniforms
     model = build_reference_model(wide_tree, 2.0, WIDE_MISSION)
-    serial = run_batch(wide_tree, model, RunConfig(mission_time=WIDE_MISSION, seed=5, threads=1), 20 * BATCH)
+    config = RunConfig(mission_time=WIDE_MISSION, seed=5)
+    with worker_count(1):
+        serial = run_batch(wide_tree, model, config, 20 * BATCH)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        config = RunConfig(mission_time=WIDE_MISSION, seed=5, threads=8)
-        for _ in range(3):
-            assert run_batch(wide_tree, model, config, 20 * BATCH) == serial
+        with worker_count(8):
+            for _ in range(3):
+                assert run_batch(wide_tree, model, config, 20 * BATCH) == serial
     finally:
         sys.setswitchinterval(interval)
 
 
 def test_automatic_threads(monkeypatch):
     monkeypatch.setattr(engine, "_available_cores", lambda: 8)
-    auto = RunConfig(mission_time=MISSION)
-    assert auto.threads is None
-    assert _worker_count(auto, AUTO_THREADS_MIN_EVENTS - 1, 25) == 1
-    assert _worker_count(auto, AUTO_THREADS_MIN_EVENTS, 25) == 8
+    assert _worker_count(AUTO_THREADS_MIN_EVENTS - 1, 25) == 1
+    assert _worker_count(AUTO_THREADS_MIN_EVENTS, 25) == 8
     # never more workers than blocks: a one-block pilot runs serially
-    assert _worker_count(auto, 200, 3) == 3
-    assert _worker_count(auto, 200, 1) == 1
-    assert _worker_count(auto, 200, 0) == 0
-    # an explicit count is honoured, whatever the tree's size
-    assert _worker_count(RunConfig(mission_time=MISSION, threads=3), 4, 25) == 3
-    assert _worker_count(RunConfig(mission_time=MISSION, threads=1), 200, 25) == 1
+    assert _worker_count(200, 3) == 3
+    assert _worker_count(200, 1) == 1
+    assert _worker_count(200, 0) == 0
 
 
 def test_run_batch_working_set_is_one_block_buffer_per_worker():
@@ -328,10 +340,11 @@ def test_run_batch_working_set_is_one_block_buffer_per_worker():
     tree = random_tree(np.random.default_rng(5), n_events)
     for d, weighted in ((1.0, False), (8.0, True)):
         model = build_reference_model(tree, d, MISSION)
-        config = RunConfig(mission_time=MISSION, seed=2, threads=threads)
+        config = RunConfig(mission_time=MISSION, seed=2)
         tracemalloc.start()
         try:
-            totals = run_batch(tree, model, config, 100_000, weighted=weighted)
+            with worker_count(threads):
+                totals = run_batch(tree, model, config, 100_000, weighted=weighted)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -370,13 +383,14 @@ def test_run_batch_weights_equal_all_row_reference(mixed_tree, wide_tree, d):
     # hit at d = 8 and half at d = 2 (where summing only the hit terms would
     # move low bits); at d = 1 no block has a hit, so every block's terms
     # are zero.  The wide tree's blocks span several draw chunks and run on
-    # worker threads unless told otherwise.
+    # worker threads under the automatic rule.
     n_cycles = 2 * BATCH + 100
     for tree, mission in ((mixed_tree, MISSION), (wide_tree, WIDE_MISSION)):
         model = build_reference_model(tree, d, mission)
+        config = RunConfig(mission_time=mission, seed=4)
         for threads in (1, 2, None):
-            config = RunConfig(mission_time=mission, seed=4, threads=threads)
-            totals = run_batch(tree, model, config, n_cycles, phase=3)
+            with worker_count(threads):
+                totals = run_batch(tree, model, config, n_cycles, phase=3)
             reference = _reference_totals(tree, model, config, n_cycles, phase=3)
             assert totals == reference
             if tree is mixed_tree and d == 1.0:
@@ -546,7 +560,8 @@ def test_estimate_deterministic(overlap_tree):
     a = estimate_top(overlap_tree, RunConfig(mission_time=MISSION, seed=13))
     b = estimate_top(overlap_tree, RunConfig(mission_time=MISSION, seed=13))
     assert a == b
-    c = estimate_top(overlap_tree, RunConfig(mission_time=MISSION, seed=13, threads=8))
+    with worker_count(8):
+        c = estimate_top(overlap_tree, RunConfig(mission_time=MISSION, seed=13))
     assert (c.p_hat, c.std_err, c.hits) == (a.p_hat, a.std_err, a.hits)
 
 
@@ -575,7 +590,8 @@ def test_estimates_match_golden_bits(overlap_tree, mixed_tree):
     ]
     for tree, kwargs, expected in runs:
         for threads in (1, 2, None):
-            est = estimate_top(tree, RunConfig(threads=threads, **kwargs))
+            with worker_count(threads):
+                est = estimate_top(tree, RunConfig(**kwargs))
             assert (est.p_hat.hex(), est.std_err.hex(), est.hits) == expected
 
 
