@@ -7,11 +7,11 @@ the lumped tail-mass ratio (1-F(T))/(1-G(T)) for times beyond it.  By
 construction of the reference scales the tail factor equals the common
 drop parameter ``d`` for every event.
 
-There is one sampling-and-weight path, and it works on whole batches:
-``sample_times`` draws a block's uniforms from its stream straight into an
-event-major buffer and turns them into failure times in place, and
-``log_weights`` turns a matrix of failure times into per-cycle log
-likelihood ratios.  No other code samples or weights cycles.
+There is one sampling-and-weight path, and it works on whole groups of
+blocks: ``sample_times`` draws each block's uniforms from its own stream
+straight into one event-major buffer and turns them into failure times in
+place, and ``log_weights`` turns a matrix of failure times into per-cycle
+log likelihood ratios.  No other code samples or weights cycles.
 
 All reference laws hang off a single knob ``d``; a preliminary search picks
 ``d`` so that the hit count over a small pilot run lands inside a target
@@ -19,10 +19,12 @@ band, doubling ``d`` until bracketed and then bisecting the bracket in
 log d.
 
 Reproducibility contract: cycle j draws its randomness from a counter-based
-(Philox) substream determined by (seed, phase, j // BATCH), and partial sums
-are merged in fixed batch order, so results are bit-identical for any thread
-count.  Each worker reuses one block buffer, so a run holds at most one per
-worker.
+(Philox) substream determined by (seed, phase, j // BATCH), and per-block
+partial sums are merged in fixed block order, so results are bit-identical
+for any thread count and any grouping of blocks.  A group is as many
+consecutive blocks as fit in ``GROUP_FLOATS`` floats (at least one); it is
+the unit of work of a worker, which reuses one group buffer and one
+generator, so a run holds at most one of each per worker.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ import math
 import numbers
 import os
 import queue
+from collections.abc import Iterable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -65,9 +68,10 @@ BATCH = 4096
 # (rows, events) matrix stays cache-sized whatever the tree's width.
 DRAW_CHUNK = 1 << 16
 
-# Trees with fewer basic events than this run on one thread: their blocks
-# are too cheap for workers to pay (docs/design-notes.md).
-AUTO_THREADS_MIN_EVENTS = 16
+# Floats of one group buffer: a tree of n events runs
+# max(1, GROUP_FLOATS // (n * BATCH)) consecutive blocks per kernel call, so
+# small trees pay each numpy call once per group rather than once per block.
+GROUP_FLOATS = 1 << 17
 
 _MASK64 = (1 << 64) - 1
 
@@ -196,9 +200,31 @@ def build_reference_model(tree: FaultTree, d: float, mission_time: float) -> Ref
     return ReferenceModel(d=d, events=tuple(names), refs=tuple(refs))
 
 
-def _stream(seed: int, phase: int, batch_index: int) -> np.random.Generator:
-    key = ((phase & _MASK64) << 64) | (seed & _MASK64)
-    return np.random.Generator(np.random.Philox(key=key, counter=batch_index << 128))
+def _stream(
+    seed: int, phase: int, batch_index: int, gen: np.random.Generator | None = None
+) -> np.random.Generator:
+    """Block ``batch_index``'s generator: Philox keyed by ``(seed, phase)``
+    with its counter at ``batch_index << 128``.
+
+    With ``gen``, a Philox generator, that state is set in place and ``gen``
+    is returned.  This draws exactly what a new ``Philox(key=..., counter=...)``
+    would, whatever ``gen`` drew before, at a quarter of the cost: the
+    constructor also seeds a ``SeedSequence`` from OS entropy.
+    """
+    if gen is None:
+        gen = np.random.Generator(np.random.Philox(0))
+    gen.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {
+            "counter": np.array([0, 0, batch_index & _MASK64, batch_index >> 64], dtype=np.uint64),
+            "key": np.array([seed, phase], dtype=np.uint64),
+        },
+        "buffer": np.zeros(4, dtype=np.uint64),
+        "buffer_pos": 4,  # empty: the first draw runs the counter
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    return gen
 
 
 def _fill_uniforms(gen: np.random.Generator, out: np.ndarray) -> None:
@@ -216,20 +242,26 @@ def _fill_uniforms(gen: np.random.Generator, out: np.ndarray) -> None:
         out[:, r0:r1] = gen.random((r1 - r0, events)).T
 
 
-def sample_times(refs: ReferenceModel, gen: np.random.Generator, out: np.ndarray) -> np.ndarray:
-    """Failure times of ``out.shape[1]`` cycles drawn from ``gen``.
+def sample_times(
+    refs: ReferenceModel, streams: Iterable[np.random.Generator], out: np.ndarray
+) -> np.ndarray:
+    """Failure times of ``out.shape[1]`` cycles, a block of them per stream.
 
-    ``out`` is an event-major ``(events, rows)`` float buffer.  It is
-    filled with uniforms by :func:`_fill_uniforms`, so each cycle consumes
-    exactly one uniform per event, which keeps the counter-based
-    substreams aligned, and event i's row is then inverted in place
-    through its reference law.  The result is the transposed view of
-    ``out``: shape ``(rows, events)``, with every event's column
+    ``out`` is an event-major ``(events, rows)`` float buffer and ``streams``
+    yields one generator per ``BATCH`` columns of it, in order (the last
+    block may be short).  Each block's columns are filled with uniforms
+    from its own generator by :func:`_fill_uniforms`, so each cycle
+    consumes exactly one uniform per event, which keeps the counter-based
+    substreams aligned.  Event i's row is then inverted in place through
+    its reference law, once for all blocks.  The result is the transposed
+    view of ``out``: shape ``(rows, events)``, with every event's column
     contiguous.
     """
     if out.shape[0] != len(refs.refs):
         raise ValueError("buffer height does not match reference model")
-    _fill_uniforms(gen, out)
+    rows = out.shape[1]
+    for r0, gen in zip(range(0, rows, BATCH), streams, strict=True):
+        _fill_uniforms(gen, out[:, r0:r0 + BATCH])
     # a law whose lifetimes exceed the float range maps its tail to inf,
     # which is the correct lifetime; the overflow on the way is not an error
     with np.errstate(over="ignore"):
@@ -265,15 +297,18 @@ def log_weights(
     return logw
 
 
-def _worker_count(n_events: int, n_blocks: int) -> int:
-    """Worker threads a run of ``n_blocks`` blocks over ``n_events`` events uses.
+def _group_blocks(n_events: int) -> int:
+    """Blocks per group for a tree of ``n_events`` basic events."""
+    return max(1, GROUP_FLOATS // (n_events * BATCH))
 
-    Every core this process may run on (so ``taskset`` caps it) for trees
-    of at least ``AUTO_THREADS_MIN_EVENTS`` basic events, one thread below
-    that, and never more workers than blocks.  Results do not depend on it.
+
+def _worker_count(n_groups: int) -> int:
+    """Worker threads a run of ``n_groups`` groups uses.
+
+    Every core this process may run on (so ``taskset`` caps it), and never
+    more workers than groups.  Results do not depend on it.
     """
-    threads = _available_cores() if n_events >= AUTO_THREADS_MIN_EVENTS else 1
-    return min(threads, n_blocks)
+    return min(_available_cores(), n_groups)
 
 
 def _available_cores() -> int:
@@ -282,19 +317,37 @@ def _available_cores() -> int:
     return os.cpu_count() or 1
 
 
-def _compute_batch(tree, refs, mission_time, weighted, gen, buf):
-    rows = buf.shape[1]
-    times = sample_times(refs, gen, buf)
-    top = batch_top_times(tree, times)
-    indicator = top < mission_time
+def _block_sums(x: np.ndarray) -> list[float]:
+    """``np.sum`` of each ``BATCH``-long block of ``x``, in order.
+
+    The row sums of the full blocks reduce each row pairwise, exactly as
+    ``np.sum`` does on one block, so they are bit-identical to it;
+    ``np.add.reduceat`` is not, because it sums each block sequentially.
+    """
+    full = len(x) // BATCH
+    sums = x[:full * BATCH].reshape(full, BATCH).sum(axis=1).tolist()
+    if len(x) > full * BATCH:
+        sums.append(float(np.sum(x[full * BATCH:])))
+    return sums
+
+
+def _compute_group(tree, refs, mission_time, weighted, streams, buf):
+    times = sample_times(refs, streams, buf)
+    indicator = batch_top_times(tree, times) < mission_time
     hits = int(np.count_nonzero(indicator))
     if not weighted:
-        return hits, float(hits), float(hits)
-    # only hit rows are weighted; scattering them into zeros gives np.sum
-    # the same array, and so the same pairwise sum, as weighting every row
-    terms = np.zeros(rows)
-    terms[indicator] = np.exp(log_weights(refs, times, mission_time, indicator))
-    return hits, float(np.sum(terms)), float(np.sum(terms * terms))
+        return hits, [float(hits)], [float(hits)]
+    # only hit rows are weighted; scattering them into zeros gives each
+    # block's np.sum the same array, and so the same pairwise sum, as
+    # weighting every row.  exp and the square reuse their input's memory,
+    # which keeps a group's temporaries near the size of its buffer.
+    weights = log_weights(refs, times, mission_time, indicator)
+    np.exp(weights, out=weights)
+    terms = np.zeros(buf.shape[1])
+    terms[indicator] = weights
+    sums = _block_sums(terms)
+    np.multiply(terms, terms, out=terms)
+    return hits, sums, _block_sums(terms)
 
 
 def run_batch(
@@ -308,45 +361,51 @@ def run_batch(
 ) -> BatchTotals:
     """Simulate ``n_cycles`` cycles and accumulate hit and weight totals.
 
-    Work is split into fixed-size batches; each batch is an independent
-    substream and its partial sums are merged in batch order, which makes
-    the totals independent of the thread count, which
-    :func:`_worker_count` picks from the tree's size and the available
-    cores.  The block buffers are allocated here, one per worker, and lent
-    to the workers through a queue, so the run's working set is bounded by
-    ``workers * events * BATCH`` floats.
+    Cycles are split into blocks of ``BATCH``, each an independent
+    substream with its own partial sums, and consecutive blocks into
+    groups of :func:`_group_blocks`, each one kernel call.  The block sums
+    are merged in block order, which makes the totals independent of the
+    grouping and of the thread count, which :func:`_worker_count` picks
+    from the group count and the available cores.  The group buffers and
+    generators are made here, one per worker, and lent to the workers
+    through a queue, so the run's working set is bounded by ``workers *
+    max(GROUP_FLOATS, events * BATCH)`` floats.
     """
     if n_cycles < 0:
         raise ValueError("n_cycles must be non-negative")
     if tuple(be.name for be in tree.basic_events) != refs.events:
         raise ValueError("reference model does not match the tree's basic events")
     n_events = len(refs.refs)
-    n_batches = (n_cycles + BATCH - 1) // BATCH
-    workers = _worker_count(n_events, n_batches)
-    buffers: queue.SimpleQueue = queue.SimpleQueue()
+    per_group = _group_blocks(n_events)
+    group_cycles = per_group * BATCH
+    n_groups = (n_cycles + group_cycles - 1) // group_cycles
+    workers = _worker_count(n_groups)
+    kits: queue.SimpleQueue = queue.SimpleQueue()
     for _ in range(workers):
-        buffers.put(np.empty((n_events, min(BATCH, n_cycles))))
+        kits.put((np.empty((n_events, min(group_cycles, n_cycles))), _stream(config.seed, phase, 0)))
 
-    def work(b):
-        rows = min(BATCH, n_cycles - b * BATCH)
-        buf = buffers.get()
+    def work(g):
+        rows = min(group_cycles, n_cycles - g * group_cycles)
+        first = g * per_group
+        buf, gen = kits.get()
         try:
-            return _compute_batch(
-                tree, refs, config.mission_time, weighted,
-                _stream(config.seed, phase, b), buf[:, :rows],
+            streams = (
+                _stream(config.seed, phase, b, gen)
+                for b in range(first, first + (rows + BATCH - 1) // BATCH)
             )
+            return _compute_group(tree, refs, config.mission_time, weighted, streams, buf[:, :rows])
         finally:
-            buffers.put(buf)
+            kits.put((buf, gen))
 
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            partials = list(pool.map(work, range(n_batches)))
+            partials = list(pool.map(work, range(n_groups)))
     else:
-        partials = [work(b) for b in range(n_batches)]
+        partials = [work(g) for g in range(n_groups)]
 
     hits = sum(p[0] for p in partials)
-    weight_sum = math.fsum(p[1] for p in partials)
-    weight_sq_sum = math.fsum(p[2] for p in partials)
+    weight_sum = math.fsum(s for p in partials for s in p[1])
+    weight_sq_sum = math.fsum(s for p in partials for s in p[2])
     return BatchTotals(hits=hits, weight_sum=weight_sum, weight_sq_sum=weight_sq_sum, cycles=n_cycles)
 
 

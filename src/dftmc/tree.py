@@ -25,7 +25,6 @@ events by position from :attr:`FaultTree.basic_events`, then visits
 from __future__ import annotations
 
 import enum
-import functools
 import math
 from dataclasses import dataclass, field
 
@@ -274,6 +273,18 @@ def _kth_smallest(kids: list[np.ndarray], k: int) -> np.ndarray:
     return kept[m - 1]
 
 
+def _fold(ufunc, kids):
+    """The left fold of a two-input ufunc over ``kids``, in one new array.
+
+    It gives what ``ufunc.reduce`` over the stacked inputs gives, bit for
+    bit, with no stack and no array per step.
+    """
+    out = ufunc(kids[0], kids[1])
+    for kid in kids[2:]:
+        ufunc(out, kid, out=out)
+    return out
+
+
 def batch_top_times(tree: FaultTree, times: np.ndarray) -> np.ndarray:
     """Vectorized TOP failure times for a (cycles, basic_events) matrix.
 
@@ -299,21 +310,23 @@ def batch_top_times(tree: FaultTree, times: np.ndarray) -> np.ndarray:
         for c in node.children:
             if last_use[c] == j:
                 values.pop(c, None)
-        # or, and and seq chain the two-input ufunc: a left fold, as
-        # ufunc.reduce over the stacked inputs is, but with no stack
         if node.kind is GateKind.OR:
-            out = functools.reduce(np.minimum, kids)
+            out = _fold(np.minimum, kids)
         elif node.kind is GateKind.AND:
-            out = functools.reduce(np.maximum, kids)
+            out = _fold(np.maximum, kids)
         elif node.kind is GateKind.VOTING:
             out = _kth_smallest(kids, node.k)
         elif node.kind is GateKind.PAND:
             ordered = np.ones(times.shape[0], dtype=bool)
             for a, b in zip(kids, kids[1:]):
                 ordered &= a <= b
-            out = np.where(ordered, kids[-1], np.inf)
+            last = kids[-1]
+            # drop the earlier inputs first, so their memory can hold the output
+            del a, b
+            kids.clear()
+            out = np.where(ordered, last, np.inf)
         elif node.kind is GateKind.SEQ:
-            out = functools.reduce(np.add, kids)
+            out = _fold(np.add, kids)
         elif node.kind is GateKind.SPARE:
             z1, z2 = kids
             a = node.dormancy

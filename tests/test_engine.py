@@ -10,9 +10,9 @@ from dftmc import BasicEvent, FaultTree, Gate, GateKind, RunConfig, estimate_top
 from dftmc import engine
 from dftmc.distributions import Exponential, solve_reference
 from dftmc.engine import (
-    AUTO_THREADS_MIN_EVENTS,
     BATCH,
     DRAW_CHUNK,
+    GROUP_FLOATS,
     MAX_SEARCH_ITERATIONS,
     BatchTotals,
     SearchError,
@@ -21,7 +21,9 @@ from dftmc.engine import (
     run_batch,
     sample_times,
     select_reference,
+    _block_sums,
     _fill_uniforms,
+    _group_blocks,
     _stream,
     _worker_count,
 )
@@ -64,7 +66,6 @@ WIDE_MISSION = 3.0
 def wide_tree():
     tree = random_tree(np.random.default_rng(4), 64)
     assert DRAW_CHUNK // len(tree.basic_events) < BATCH
-    assert len(tree.basic_events) >= AUTO_THREADS_MIN_EVENTS
     return tree
 
 
@@ -140,6 +141,28 @@ def test_numpy_integer_mission_time_runs_importance_sampling(overlap_tree):
 # -- sampling -----------------------------------------------------------------
 
 
+def block_streams(seed, phase, rows):
+    """A new generator for each of the blocks that ``rows`` cycles span."""
+    return [_stream(seed, phase, b) for b in range((rows + BATCH - 1) // BATCH)]
+
+
+def test_reused_generator_draws_the_new_philox_stream():
+    # setting a used generator's state must give exactly the stream a new
+    # Philox keyed (seed, phase) at counter b << 128 gives, whatever the
+    # generator held: a part-used buffer and a spare 32-bit half
+    gen = _stream(3, 3, 3)
+    for seed in (0, 1, 2**64 - 1):
+        for phase in (0, 1, 30):
+            for b in (0, 1, 244, 2**40):
+                gen.random(5)
+                gen.integers(0, 7, 3, dtype=np.uint32)
+                philox = np.random.Philox(key=(phase << 64) | seed, counter=b << 128)
+                expected = np.random.Generator(philox).random(1000).tobytes()
+                assert _stream(seed, phase, b, gen) is gen
+                assert gen.random(1000).tobytes() == expected
+                assert _stream(seed, phase, b).random(1000).tobytes() == expected
+
+
 @pytest.mark.parametrize("rows, events", [(1, 1), (1000, 7), (905, 33), (4096, 200), (4096, 300)])
 def test_fill_uniforms_keeps_the_row_major_draw_order(rows, events):
     # chunk edges fall inside the block, and a short block ends in a part chunk
@@ -152,14 +175,31 @@ def test_fill_uniforms_keeps_the_row_major_draw_order(rows, events):
 def test_sample_times_rejects_mismatched_buffer(overlap_tree):
     model = build_reference_model(overlap_tree, 2.0, MISSION)
     with pytest.raises(ValueError, match="buffer"):
-        sample_times(model, _stream(0, 0, 0), np.empty((3, 10)))
+        sample_times(model, [_stream(0, 0, 0)], np.empty((3, 10)))
+
+
+def test_sample_times_takes_one_stream_per_block(overlap_tree):
+    model = build_reference_model(overlap_tree, 2.0, MISSION)
+    for streams in (block_streams(0, 0, BATCH), block_streams(0, 0, 3 * BATCH)):
+        with pytest.raises(ValueError):
+            sample_times(model, streams, np.empty((4, BATCH + 1)))
+
+
+def test_sample_times_fills_each_block_from_its_own_stream(mixed_tree):
+    model = build_reference_model(mixed_tree, 2.0, MISSION)
+    rows = 2 * BATCH + 100
+    group = sample_times(model, block_streams(7, 1, rows), np.empty((5, rows)))
+    for b, gen in enumerate(block_streams(7, 1, rows)):
+        block = group[b * BATCH:(b + 1) * BATCH]
+        alone = sample_times(model, [gen], np.empty((5, len(block))))
+        assert alone.tobytes() == block.tobytes()
 
 
 def test_sample_times_deterministic():
     tree = single_event_tree(Exponential(1000.0))
     model = build_reference_model(tree, 2.0, MISSION)
-    a = sample_times(model, _stream(9, 1, 0), np.empty((1, 3)))
-    b = sample_times(model, _stream(9, 1, 0), np.empty((1, 3)))
+    a = sample_times(model, [_stream(9, 1, 0)], np.empty((1, 3)))
+    b = sample_times(model, [_stream(9, 1, 0)], np.empty((1, 3)))
     assert a.shape == (3, 1)
     assert [x[0] for x in a] == [x[0] for x in b]
 
@@ -177,8 +217,7 @@ def test_sample_times_match_base_law_at_d_one():
     dist = Exponential(1000.0)
     tree = single_event_tree(dist)
     model = build_reference_model(tree, 1.0, MISSION)
-    gen = _stream(1234, 0, 0)
-    draws = sample_times(model, gen, np.empty((1, 100_000)))[:, 0]
+    draws = sample_times(model, block_streams(1234, 0, 100_000), np.empty((1, 100_000)))[:, 0]
     assert _ks_distance(draws, lambda t: np.asarray(dist.cdf(t))) < 0.01
 
 
@@ -187,8 +226,7 @@ def test_sample_times_match_reference_law_at_d_two():
     model = build_reference_model(tree, 2.0, MISSION)
     assert model.vs[0] == pytest.approx(1.44062, rel=1e-5)
     ref = Exponential(model.vs[0])
-    gen = _stream(99, 0, 0)
-    draws = sample_times(model, gen, np.empty((1, 100_000)))[:, 0]
+    draws = sample_times(model, block_streams(99, 0, 100_000), np.empty((1, 100_000)))[:, 0]
     assert _ks_distance(draws, lambda t: np.asarray(ref.cdf(t))) < 0.01
 
 
@@ -203,14 +241,13 @@ def test_weight_is_exactly_one_at_d_one():
     rng = np.random.default_rng(2)
     tree = random_tree(rng, 5)
     model = build_reference_model(tree, 1.0, MISSION)
-    gen = _stream(5, 0, 0)
-    times = sample_times(model, gen, np.empty((len(model.refs), 200)))
+    times = sample_times(model, [_stream(5, 0, 0)], np.empty((len(model.refs), 200)))
     assert np.all(_weights(model, times) == 1.0)
 
 
 def test_log_weights_of_masked_rows_equal_those_of_the_selected_matrix(mixed_tree):
     model = build_reference_model(mixed_tree, 8.0, MISSION)
-    times = sample_times(model, _stream(6, 0, 0), np.empty((len(model.refs), 500)))
+    times = sample_times(model, [_stream(6, 0, 0)], np.empty((len(model.refs), 500)))
     mask = batch_top_times(mixed_tree, times) < MISSION
     assert 0 < np.count_nonzero(mask) < 500
     masked = log_weights(model, times, MISSION, mask)
@@ -293,8 +330,7 @@ def test_run_batch_overlap_pilot_scale(overlap_tree):
 
 
 def test_run_batch_thread_invariance(overlap_tree, wide_tree):
-    # the 4-event tree runs serially under the automatic rule, the 64-event
-    # one on every core
+    # the 4-event tree runs 8 blocks per group, the 64-event one a block
     for tree, mission in ((overlap_tree, MISSION), (wide_tree, WIDE_MISSION)):
         model = build_reference_model(tree, 2.0, mission)
         totals = []
@@ -324,12 +360,23 @@ def test_block_buffers_are_not_shared_under_thread_contention(wide_tree):
 
 def test_automatic_threads(monkeypatch):
     monkeypatch.setattr(engine, "_available_cores", lambda: 8)
-    assert _worker_count(AUTO_THREADS_MIN_EVENTS - 1, 25) == 1
-    assert _worker_count(AUTO_THREADS_MIN_EVENTS, 25) == 8
-    # never more workers than blocks: a one-block pilot runs serially
-    assert _worker_count(200, 3) == 3
-    assert _worker_count(200, 1) == 1
-    assert _worker_count(200, 0) == 0
+    assert _worker_count(25) == 8
+    # never more workers than groups: a one-group pilot runs serially
+    assert _worker_count(3) == 3
+    assert _worker_count(1) == 1
+    assert _worker_count(0) == 0
+
+
+def test_group_size_and_the_groups_the_rule_sees(monkeypatch, overlap_tree):
+    # trees of 17 or more events keep one block per group
+    assert [_group_blocks(n) for n in (1, 4, 5, 16, 17, 200)] == [32, 8, 6, 2, 1, 1]
+    seen = []
+    monkeypatch.setattr(engine, "_worker_count", lambda n_groups: seen.append(n_groups) or 1)
+    model = build_reference_model(overlap_tree, 2.0, MISSION)
+    for n_cycles in (0, 1000, 10**6):
+        run_batch(overlap_tree, model, RunConfig(mission_time=MISSION), n_cycles)
+    # 1e6 cycles are 245 blocks, 31 groups of 8
+    assert seen == [0, 1, 31]
 
 
 def test_run_batch_working_set_is_one_block_buffer_per_worker():
@@ -345,6 +392,25 @@ def test_run_batch_working_set_is_one_block_buffer_per_worker():
         try:
             with worker_count(threads):
                 totals = run_batch(tree, model, config, 100_000, weighted=weighted)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound
+        assert totals.hits > 0
+
+
+def test_run_batch_working_set_of_a_small_tree_is_one_group_buffer_per_worker(overlap_tree):
+    # the demo runs groups of 8 blocks; at d = 2**20 nearly every row hits,
+    # so the weighted run weights nearly whole groups
+    threads, n_events = 2, len(overlap_tree.basic_events)
+    bound = threads * max(GROUP_FLOATS, n_events * BATCH) * 8 * 2.5
+    for d, weighted in ((2.0, False), (2.0**20, True)):
+        model = build_reference_model(overlap_tree, d, MISSION)
+        config = RunConfig(mission_time=MISSION, seed=2)
+        tracemalloc.start()
+        try:
+            with worker_count(threads):
+                totals = run_batch(overlap_tree, model, config, 200_000, weighted=weighted)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -397,6 +463,45 @@ def test_run_batch_weights_equal_all_row_reference(mixed_tree, wide_tree, d):
                 assert (totals.hits, totals.weight_sum, totals.weight_sq_sum) == (0, 0.0, 0.0)
             else:
                 assert 0 < totals.hits < n_cycles and totals.weight_sum > 0.0
+
+
+@pytest.mark.parametrize("which", ["overlap", "mixed"])
+def test_run_batch_group_edges_equal_all_row_reference(which, overlap_tree, mixed_tree):
+    # cycle counts on both sides of block and group edges: one cycle, a
+    # short block, one block, one group, a group and a cycle, and two
+    # groups and a short block
+    tree = {"overlap": overlap_tree, "mixed": mixed_tree}[which]
+    k = _group_blocks(len(tree.basic_events))
+    assert k > 1
+    model = build_reference_model(tree, 2.0, MISSION)
+    config = RunConfig(mission_time=MISSION, seed=8)
+    for n_cycles in (1, BATCH - 1, BATCH, k * BATCH, k * BATCH + 1, 2 * k * BATCH + 100):
+        reference = _reference_totals(tree, model, config, n_cycles, phase=5)
+        counted = BatchTotals(reference.hits, float(reference.hits), float(reference.hits), n_cycles)
+        for threads in (1, 2, 3):
+            with worker_count(threads):
+                assert run_batch(tree, model, config, n_cycles, phase=5) == reference
+                assert run_batch(tree, model, config, n_cycles, phase=5, weighted=False) == counted
+        if n_cycles > BATCH:
+            assert 0 < reference.hits < n_cycles
+
+
+def test_row_sums_of_blocks_equal_each_block_np_sum():
+    # the group kernel's block sums rest on this: the sum along axis 1 of a
+    # (k, BATCH) array reduces each row pairwise, exactly as np.sum reduces
+    # one block.  np.add.reduceat is no substitute: it sums each block
+    # sequentially, and differs in most trials.
+    rng = np.random.default_rng(17)
+    k = 8
+    for density in (0.001, 0.05, 0.5, 1.0):
+        for _ in range(20):
+            x = np.zeros(k * BATCH + 100)
+            hit = rng.random(len(x)) < density
+            x[hit] = rng.random(np.count_nonzero(hit)) * np.exp2(rng.uniform(-80.0, 80.0, np.count_nonzero(hit)))
+            each = [np.sum(x[b * BATCH:(b + 1) * BATCH]) for b in range(k + 1)]
+            rows = x[:k * BATCH].reshape(k, BATCH).sum(axis=1)
+            assert rows.tobytes() == np.array(each[:k]).tobytes()
+            assert _block_sums(x) == each
 
 
 # -- reference search ---------------------------------------------------------
@@ -570,10 +675,10 @@ def test_estimates_match_golden_bits(overlap_tree, mixed_tree):
 
     The values were recorded from the row-major batch kernel (each event a
     strided column, vote gates by stack and sort, every row weighted)
-    before the event-major kernel replaced it.  That rework, and the
-    copy-free draw into one reused buffer per worker, keep the stream, the
-    formulas and the summation order, so these runs must not move by one
-    bit, at any thread count, automatic included.
+    before the event-major kernel replaced it.  That rework, the copy-free
+    draw into one reused buffer per worker, and the groups of blocks keep
+    the stream, the formulas and the summation order, so these runs must
+    not move by one bit, at any thread count, automatic included.
     """
     gen_tree = random_tree(np.random.default_rng(41), 30)
     assert sum(g.kind is GateKind.VOTING for g in gen_tree.gates) == 3
