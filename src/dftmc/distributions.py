@@ -182,7 +182,7 @@ class LogNormal(Lifetime):
 
     def __post_init__(self):
         # the median exp(mu) is the scale every reference law starts from
-        if not (math.isfinite(self.mu) and self.mu <= _MAX_LOG and math.exp(self.mu) > 0.0):
+        if not (_is_real(self.mu) and math.isfinite(self.mu) and self.mu <= _MAX_LOG and math.exp(self.mu) > 0.0):
             raise ValueError(f"mu must give a finite positive median exp(mu), got {self.mu!r}")
         _check_positive(self.sigma, "sigma")
 
@@ -259,21 +259,26 @@ class Normal(Lifetime):
     def _mass_below_zero(self) -> float:
         return float(ndtr(-self.mean / self.sd))
 
+    def _z(self, t):
+        # a tiny sd/mean ratio overflows z to +-inf, which is the right limit
+        with np.errstate(over="ignore"):
+            return (t - self.mean) / self.sd
+
     def pdf(self, t):
         t = np.asarray(t, dtype=float)
-        z = (t - self.mean) / self.sd
+        z = self._z(t)
         out = np.exp(-0.5 * z * z) / (self.sd * math.sqrt(2.0 * math.pi))
         return np.where(t >= 0.0, out / (1.0 - self._mass_below_zero), 0.0)
 
     def cdf(self, t):
         t = np.asarray(t, dtype=float)
         lo = self._mass_below_zero
-        out = (ndtr((t - self.mean) / self.sd) - lo) / (1.0 - lo)
+        out = (ndtr(self._z(t)) - lo) / (1.0 - lo)
         return np.clip(np.where(t >= 0.0, out, 0.0), 0.0, 1.0)
 
     def log_sf(self, t):
         t = np.asarray(t, dtype=float)
-        return log_ndtr(-(t - self.mean) / self.sd) - math.log1p(-self._mass_below_zero)
+        return log_ndtr(-self._z(t)) - math.log1p(-self._mass_below_zero)
 
     def _quantile01(self, p):
         lo = self._mass_below_zero
@@ -328,7 +333,8 @@ def solve_reference(dist: Lifetime, d: float, mission_time: float) -> float:
       below zero: ``x = ndtri_exp(y + log1p(-m))``, then ``v = T / (1 - c*x)``.
 
     d = 1 always returns the base scale exactly.  Raises
-    ReferenceSolverError when v would underflow to zero or overflow.
+    ReferenceSolverError when v would underflow to zero or overflow, or
+    when a Normal's sd, scaled with v, would.
     """
     if not (math.isfinite(d) and d >= 1.0):
         raise ValueError(f"d must be >= 1, got {d!r}")
@@ -361,6 +367,8 @@ def solve_reference(dist: Lifetime, d: float, mission_time: float) -> float:
                 f"no reference scale matches a survival drop of {d!r} at mission time {mission_time!r}"
             )
         v = mission_time / (1.0 - cx)
+        if not 0.0 < dist.sd * (v / dist.mean) < math.inf:
+            v = 0.0  # the reference law's sd, scaled with v, leaves the range
     if not 0.0 < v < math.inf:
         raise ReferenceSolverError(
             f"reference scale for a survival drop of {d!r} at mission time {mission_time!r} "

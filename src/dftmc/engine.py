@@ -16,7 +16,9 @@ log likelihood ratios.  No other code samples or weights cycles.
 All reference laws hang off a single knob ``d``; a preliminary search picks
 ``d`` so that the hit count over a small pilot run lands inside a target
 band, doubling ``d`` until bracketed and then bisecting the bracket in
-log d.
+log d.  At d = 1 the reference laws are the base laws and every weight is
+exactly 1, so direct simulation is the d = 1 run without weights: one final
+run serves both methods, and ``model.d`` alone decides whether it weights.
 
 Reproducibility contract: cycle j draws its randomness from a counter-based
 (Philox) substream determined by (seed, phase, j // BATCH), and per-block
@@ -75,8 +77,8 @@ GROUP_FLOATS = 1 << 17
 
 _MASK64 = (1 << 64) - 1
 
-# Stream phases.  The final run and a forced direct run share phase 0 so a
-# d = 1 importance run reproduces the direct run bit for bit.
+# Stream phases.  Every final run, direct or importance, is phase 0; pilot
+# ic is phase ic.
 PHASE_FINAL = 0
 
 # Pilot runs the d search makes before giving up.
@@ -103,7 +105,6 @@ class RunConfig:
     confidence: float = 0.999
     seed: int = 0  # in [0, 2**64)
     method: str = "auto"  # auto | importance | direct
-    fixed_d: float | None = None  # skip the search (importance only)
 
     def __post_init__(self):
         _check_positive(self.mission_time, "mission_time")
@@ -128,10 +129,6 @@ class RunConfig:
             raise ValueError(f"confidence must be in (0, 1), got {self.confidence!r}")
         if self.method not in ("auto", "importance", "direct"):
             raise ValueError(f"method must be auto, importance or direct, got {self.method!r}")
-        if self.fixed_d is not None and not (_is_real(self.fixed_d) and 1.0 <= self.fixed_d < math.inf):
-            raise ValueError(f"fixed_d must be >= 1, got {self.fixed_d!r}")
-        if self.fixed_d is not None and self.method != "importance":
-            raise ValueError(f"fixed_d needs method 'importance', got {self.method!r}")
 
 
 @dataclass(frozen=True)
@@ -409,17 +406,15 @@ def run_batch(
     return BatchTotals(hits=hits, weight_sum=weight_sum, weight_sq_sum=weight_sq_sum, cycles=n_cycles)
 
 
-def select_reference(
-    tree: FaultTree, config: RunConfig
-) -> tuple[ReferenceModel | None, SearchTrace]:
-    """Pick the drop parameter d by pilot runs; None means "run direct".
+def select_reference(tree: FaultTree, config: RunConfig) -> tuple[ReferenceModel, SearchTrace]:
+    """Pick the drop parameter d by pilot runs, and its reference model.
 
     Iteration 1 runs the pilot at d = 1 (reference laws equal the base
-    laws).  Any hit there means the event is not rare and plain simulation
-    suffices, unless the caller forces importance sampling.  Otherwise d is
-    doubled until the hit count overshoots the target band, then the
-    bracket is bisected in log d (its geometric mean).  Fresh cycles are
-    drawn each iteration.
+    laws).  Any hit there means the event is not rare: the d = 1 model is
+    returned, and the final run goes direct, unless the caller forces
+    importance sampling.  Otherwise d is doubled until the hit count
+    overshoots the target band, then the bracket is bisected in log d (its
+    geometric mean).  Fresh cycles are drawn each iteration.
     """
     trace = SearchTrace()
     d_low, d_up = 1.0, math.inf
@@ -433,13 +428,13 @@ def select_reference(
         ampos = totals.hits
         trace.iterations.append(SearchIteration(ic=ic, d=d, d_low=d_low, d_up=d_up, ampos=ampos))
 
+        # d cannot go below 1: a d = 1 pilot with hits keeps the base laws,
+        # and so does forced importance sampling above the band
         if ic == 1 and ampos >= 1 and config.method != "importance":
-            return None, trace
+            return model, trace
         if config.ampos_low <= ampos <= config.ampos_high:
             return model, trace
         if ic == 1 and ampos > config.ampos_high:
-            # d cannot go below 1; forced importance sampling on a non-rare
-            # tree just runs with the base laws (all weights 1)
             return model, trace
 
         if ampos < config.ampos_low:
@@ -459,7 +454,26 @@ def _z_quantile(confidence: float) -> float:
     return float(ndtri(0.5 + confidence / 2.0))
 
 
-def _assemble(totals: BatchTotals, config: RunConfig, method, reference, trace) -> Estimate:
+def estimate_top(tree: FaultTree, config: RunConfig) -> Estimate:
+    """Full estimation pipeline: reference search, main run, interval.
+
+    The search's model decides the final run: at d = 1 every weight is 1,
+    so it runs unweighted, which is direct simulation unless the caller
+    forced importance sampling; the ``direct`` method skips the search and
+    runs the d = 1 model.  The standard error is the sample standard
+    deviation of the per-cycle weighted indicator terms divided by
+    sqrt(cycles); the interval is p_hat +- z * std_err at the configured
+    confidence level.
+    """
+    if config.method == "direct":
+        model, trace = build_reference_model(tree, 1.0, config.mission_time), None
+    else:
+        model, trace = select_reference(tree, config)
+    direct = model.d == 1.0 and config.method != "importance"
+    totals = run_batch(
+        tree, model, config, config.cycles, phase=PHASE_FINAL, weighted=model.d != 1.0
+    )
+
     k = totals.cycles
     p_hat = totals.weight_sum / k
     var = max(totals.weight_sq_sum - k * p_hat * p_hat, 0.0) / (k - 1)
@@ -472,38 +486,9 @@ def _assemble(totals: BatchTotals, config: RunConfig, method, reference, trace) 
         ci_high=p_hat + z * std_err,
         hits=totals.hits,
         cycles_used=k,
-        method=method,
+        method="direct" if direct else "importance",
         confidence=config.confidence,
         z=z,
-        reference=reference,
+        reference=None if direct else model,
         trace=trace,
     )
-
-
-def estimate_top(tree: FaultTree, config: RunConfig) -> Estimate:
-    """Full estimation pipeline: reference search, main run, interval.
-
-    The standard error is the sample standard deviation of the per-cycle
-    weighted indicator terms divided by sqrt(cycles); the interval is
-    p_hat +- z * std_err at the configured confidence level.
-    """
-    model: ReferenceModel | None = None
-    trace: SearchTrace | None = None
-    if config.method == "direct":
-        pass
-    elif config.fixed_d is not None:
-        model = build_reference_model(tree, config.fixed_d, config.mission_time)
-    else:
-        model, trace = select_reference(tree, config)
-
-    if model is None:
-        base = build_reference_model(tree, 1.0, config.mission_time)
-        totals = run_batch(
-            tree, base, config, config.cycles, phase=PHASE_FINAL, weighted=False
-        )
-        return _assemble(totals, config, "direct", None, trace)
-
-    totals = run_batch(
-        tree, model, config, config.cycles, phase=PHASE_FINAL, weighted=True
-    )
-    return _assemble(totals, config, "importance", model, trace)

@@ -37,6 +37,21 @@ def worker_count(k):
         yield
 
 
+@contextlib.contextmanager
+def fixed_d(d):
+    """Runs inside skip the d search and use the reference model at ``d``.
+
+    The search's stand-in returns no trace, as a run that never searched.
+    """
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(
+            engine,
+            "select_reference",
+            lambda tree, config: (engine.build_reference_model(tree, d, config.mission_time), None),
+        )
+        yield
+
+
 @pytest.fixture(scope="session")
 def overlap_doc():
     return parse(OVERLAP_DFT)

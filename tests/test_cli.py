@@ -11,7 +11,7 @@ import pytest
 from dftmc import BasicEvent, Exponential, FaultTree, Gate, GateKind, RunConfig, estimate_top, parse, to_fault_tree
 from dftmc.cli import _print_text_report, build_arg_parser, build_report, dumps_canonical, format_number, main
 from dftmc.engine import MAX_SEARCH_ITERATIONS
-from conftest import IMPOSSIBLE_DFT, STATIC_OR2_DFT, worker_count
+from conftest import IMPOSSIBLE_DFT, STATIC_OR2_DFT, fixed_d, worker_count
 
 
 def run_cli(args):
@@ -76,8 +76,10 @@ def _and2_report(real, integer):
     # field by ``integer``; at d = 1 each law's own scale is the report's v
     events = (BasicEvent("A", Exponential(real(5.0))), BasicEvent("B", Exponential(real(7.0))))
     tree = FaultTree((*events, Gate("TOP", GateKind.AND, ("A", "B"))), "TOP")
-    config = RunConfig(mission_time=real(1.0), cycles=1_000, method="importance", fixed_d=1.0)
-    report = build_report("and2.dft", "", tree, config, estimate_top(tree, config), 0.0)
+    config = RunConfig(mission_time=real(1.0), cycles=1_000, method="importance")
+    with fixed_d(1.0):
+        estimate = estimate_top(tree, config)
+    report = build_report("and2.dft", "", tree, config, estimate, 0.0)
     report["tree"]["basic_events"] = integer(2)
     return dumps_canonical(report)
 
@@ -200,8 +202,9 @@ def test_report_warns_when_hit_weights_underflow(schema):
     text = "dft 1\n" + "".join(f"be {n} exp mttf=1000.0\n" for n in names)
     text += f"gate TOP and {' '.join(names)}\ntop TOP\n"
     tree = to_fault_tree(parse(text))
-    config = RunConfig(mission_time=1.0, cycles=10_000, seed=1, method="importance", fixed_d=1e300)
-    estimate = estimate_top(tree, config)
+    config = RunConfig(mission_time=1.0, cycles=10_000, seed=1, method="importance")
+    with fixed_d(1e300):
+        estimate = estimate_top(tree, config)
     assert estimate.hits == 10_000 and estimate.p_hat == 0.0 and estimate.std_err == 0.0
     report = build_report("and80.dft", text, tree, config, estimate, 0.0)
     jsonschema.validate(report, schema)
@@ -218,9 +221,11 @@ def test_text_search_table_reads_report_config(overlap_tree):
     # the last row is labelled by the run's method
     config = RunConfig(
         mission_time=1.0, cycles=2_000, prelim_cycles=500, ampos_low=20, ampos_high=40,
-        method="importance", fixed_d=2.0,
+        method="importance",
     )
-    report = build_report("t.dft", "", overlap_tree, config, estimate_top(overlap_tree, config), 0.0)
+    with fixed_d(2.0):
+        estimate = estimate_top(overlap_tree, config)
+    report = build_report("t.dft", "", overlap_tree, config, estimate, 0.0)
     report["search"] = [
         {"ic": ic, "d_low": 1.0, "d_up": None, "d": float(ic), "ampos": ampos}
         for ic, ampos in enumerate((0, 19, 41, 40), start=1)
@@ -308,10 +313,9 @@ def test_mission_time_flag_must_be_finite_and_positive(tmp_path, overlap_path, c
 
 
 def test_every_runconfig_knob_has_a_run_flag():
-    # fixed_d has no flag: it lets library callers and tests force d
     sub = next(a for a in build_arg_parser()._actions if a.dest == "command")
     dests = {a.dest for a in sub.choices["run"]._actions}
-    knobs = {f.name for f in dataclasses.fields(RunConfig)} - {"fixed_d"}
+    knobs = {f.name for f in dataclasses.fields(RunConfig)}
     assert knobs <= dests, knobs - dests
 
 
@@ -379,8 +383,13 @@ def test_run_reference_solver_failure_exits_4(tmp_path):
 
 @pytest.mark.parametrize(
     "event,line",
-    [("W", "be W weibull scale=1.0 shape=400.0"), ("E", "be E exp mttf=1e-310")],
-    ids=["weibull-power-overflows", "exp-scale-underflows"],
+    [
+        ("W", "be W weibull scale=1.0 shape=400.0"),
+        ("E", "be E exp mttf=1e-310"),
+        # the scale stays in range, but the scaled sd underflows to 0
+        ("N", "be N normal mean=1e300 sd=1e-30"),
+    ],
+    ids=["weibull-power-overflows", "exp-scale-underflows", "normal-sd-underflows"],
 )
 def test_run_closed_form_scale_out_of_float_range_exits_4(tmp_path, event, line):
     # the d = 1 pilot misses, and at d = 2 the event's scale leaves the float range

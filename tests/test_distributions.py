@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -33,6 +34,9 @@ def test_numpy_numbers_are_accepted_as_parameters():
     for bad in (np.int64(0), np.float64("nan"), np.float64("inf"), "5", True, np.True_):
         with pytest.raises(ValueError):
             Exponential(bad)
+    for bad in (True, np.True_, "1"):
+        with pytest.raises(ValueError):
+            LogNormal(bad, 1.0)
 
 
 def test_exponential_pdf_at_zero():
@@ -72,6 +76,17 @@ def test_quantile_exponential_values():
 def test_quantile_normal_median():
     # truncation at zero nudges the median up by ~1e-7 relative
     assert Normal(5.0, 1.0).quantile(0.5) == pytest.approx(5.0, abs=1e-5)
+
+
+def test_normal_with_tiny_sd_ratio_is_silent_and_refuses_to_scale():
+    # z = (t - mean) / sd overflows to -inf, which is the right limit
+    n = Normal(1e300, 1e-30)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert (float(n.pdf(10.0)), float(n.cdf(10.0)), float(n.log_sf(10.0))) == (0.0, 0.0, 0.0)
+    # at d = 2 the scale stays in range but the scaled sd would underflow
+    with pytest.raises(ReferenceSolverError, match="outside the float range"):
+        solve_reference(n, 2.0, 10.0)
 
 
 @pytest.mark.parametrize("dist", FAMILIES, ids=lambda d: repr(d))

@@ -28,7 +28,7 @@ from dftmc.engine import (
     _worker_count,
 )
 from dftmc.tree import batch_top_times
-from conftest import worker_count
+from conftest import fixed_d, worker_count
 from treegen import random_tree
 
 MISSION = 1.0
@@ -94,10 +94,10 @@ def exp_with_p(p):
         dict(mission_time=1.0, method="bogus"),
         # a bool is not a number, whatever Python says
         dict(mission_time=True),
-        dict(mission_time=1.0, fixed_d=0.5),
-        # fixed_d skips the search, which only importance sampling runs
-        dict(mission_time=0.01, fixed_d=4.0),
-        dict(mission_time=0.01, method="direct", fixed_d=4.0),
+        dict(mission_time=1.0, ampos_high=True),
+        # the acceptance band is open, and so is the confidence interval
+        dict(mission_time=1.0, ampos_low=20, ampos_high=20),
+        dict(mission_time=1.0, confidence=0.0),
         # counts are integers, and a seed names one of 2**64 streams
         dict(mission_time=1.0, cycles=1e5),
         dict(mission_time=1.0, prelim_cycles=1000.0),
@@ -107,13 +107,17 @@ def exp_with_p(p):
         dict(mission_time="1"),
         dict(mission_time=1.0, confidence="0.9"),
         dict(mission_time=1.0, confidence=True),
-        dict(mission_time=1.0, method="importance", fixed_d=True),
-        dict(mission_time=1.0, method="importance", fixed_d="2"),
     ],
 )
 def test_bad_config_rejected(kwargs):
     with pytest.raises(ValueError):
         RunConfig(**kwargs)
+
+
+def test_fixed_d_is_not_a_knob():
+    # the search picks d; tests force it with conftest.fixed_d
+    with pytest.raises(TypeError):
+        RunConfig(mission_time=1.0, fixed_d=2.0)
 
 
 def test_worker_count_is_not_a_knob():
@@ -523,7 +527,8 @@ def test_select_reference_overlap_accepts_two(overlap_tree):
 def test_select_reference_direct_directive():
     tree = single_event_tree(exp_with_p(0.05))
     model, trace = select_reference(tree, RunConfig(mission_time=MISSION, seed=1))
-    assert model is None
+    # the d = 1 pilot's own model, which the final run goes direct with
+    assert model.d == 1.0
     assert len(trace.iterations) == 1
     assert trace.iterations[0].ampos >= 1
 
@@ -598,12 +603,13 @@ def test_estimate_direct_single_event():
 
 
 def test_importance_at_d_one_equals_direct_bitwise():
+    # about 200 pilot hits in 1000 cycles, above the band: the search cannot
+    # go below d = 1, so forced importance sampling keeps the base laws
     tree = single_event_tree(exp_with_p(0.2))
     direct = estimate_top(tree, RunConfig(mission_time=MISSION, method="direct", seed=21))
-    forced = estimate_top(
-        tree, RunConfig(mission_time=MISSION, method="importance", fixed_d=1.0, seed=21)
-    )
-    assert forced.method == "importance"
+    forced = estimate_top(tree, RunConfig(mission_time=MISSION, method="importance", seed=21))
+    assert forced.trace.iterations[0].ampos > 100
+    assert forced.method == "importance" and forced.reference.d == 1.0
     assert forced.p_hat == direct.p_hat
     assert forced.std_err == direct.std_err
     assert forced.hits == direct.hits
@@ -614,10 +620,11 @@ def test_importance_at_d_one_equals_direct_bitwise():
 def test_importance_and_direct_agree_on_non_rare(static_or2_tree):
     agree = 0
     for seed in range(10):
-        est_is = estimate_top(
-            static_or2_tree,
-            RunConfig(mission_time=MISSION, method="importance", fixed_d=2.0, seed=seed, cycles=20_000, prelim_cycles=1000),
-        )
+        with fixed_d(2.0):
+            est_is = estimate_top(
+                static_or2_tree,
+                RunConfig(mission_time=MISSION, method="importance", seed=seed, cycles=20_000, prelim_cycles=1000),
+            )
         est_dir = estimate_top(
             static_or2_tree,
             RunConfig(mission_time=MISSION, method="direct", seed=seed + 1000, cycles=20_000),
@@ -670,7 +677,7 @@ def test_estimate_deterministic(overlap_tree):
     assert (c.p_hat, c.std_err, c.hits) == (a.p_hat, a.std_err, a.hits)
 
 
-def test_estimates_match_golden_bits(overlap_tree, mixed_tree):
+def test_estimates_match_golden_bits(overlap_tree, mixed_tree, static_or2_tree):
     """p_hat, std_err and hits pinned bit for bit.
 
     The values were recorded from the row-major batch kernel (each event a
@@ -692,12 +699,19 @@ def test_estimates_match_golden_bits(overlap_tree, mixed_tree):
         # two blocks of 4096 cycles, run direct
         (gen_tree, dict(mission_time=20.0, method="direct", seed=0, cycles=2 * BATCH),
          ("0x1.1820000000000p-1", "0x1.687311356434fp-8", 4482)),
+        # goes direct after its d = 1 pilot hits
+        (gen_tree, dict(mission_time=20.0, seed=3, cycles=2 * BATCH),
+         ("0x1.14f0000000000p-1", "0x1.68d909a20cb14p-8", 4431)),
+        # forced importance above the band stays at d = 1
+        (static_or2_tree, dict(mission_time=1.0, method="importance", seed=0, cycles=2 * BATCH),
+         ("0x1.8340000000000p-3", "0x1.1b8cc048daeabp-8", 1549)),
     ]
     for tree, kwargs, expected in runs:
         for threads in (1, 2, None):
             with worker_count(threads):
                 est = estimate_top(tree, RunConfig(**kwargs))
             assert (est.p_hat.hex(), est.std_err.hex(), est.hits) == expected
+    assert est.method == "importance" and est.reference.d == 1.0
 
 
 # -- quadrature cross-checks on dynamic gates --------------------------------
@@ -780,9 +794,8 @@ def test_solver_failure_names_the_event():
     from dftmc.distributions import LogNormal, ReferenceSolverError
 
     tree = FaultTree((BasicEvent("FOGGY", LogNormal(0.0, 50.0)),), top="FOGGY")
-    config = RunConfig(mission_time=MISSION, method="importance", fixed_d=1e300)
     with pytest.raises(ReferenceSolverError, match="FOGGY"):
-        estimate_top(tree, config)
+        build_reference_model(tree, 1e300, MISSION)
 
 
 def test_seed_edge_values():

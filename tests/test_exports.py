@@ -52,3 +52,18 @@ def test_no_module_outside_tree_validates():
         elif isinstance(node, ast.Attribute) and node.attr == "validated":
             offenders.append(f"{name}:{node.lineno} .validated")
     assert offenders == []
+
+
+def test_estimate_top_makes_one_final_run():
+    # direct simulation is the unweighted d = 1 run, so one call serves both
+    path = pathlib.Path(dftmc.__path__[0]) / "engine.py"
+    module = ast.parse(path.read_text(), filename=str(path))
+    estimate_top = next(
+        node for node in module.body if isinstance(node, ast.FunctionDef) and node.name == "estimate_top"
+    )
+    calls = [
+        node.lineno
+        for node in ast.walk(estimate_top)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "run_batch"
+    ]
+    assert len(calls) == 1, f"estimate_top calls run_batch at lines {calls}"

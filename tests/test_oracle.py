@@ -13,6 +13,7 @@ from dftmc.oracle import (
     match_pand_overlap,
     smallp_pand_overlap,
 )
+from conftest import fixed_d
 from treegen import random_static_tree
 
 MISSION = 1.0
@@ -194,10 +195,8 @@ def test_direct_rich_agrees_with_engine_on_rescaled_overlap():
         top="T",
     )
     p_dir, se_dir = direct_rich(tree, MISSION, 50_000, seed=6)
-    est = estimate_top(
-        tree,
-        RunConfig(mission_time=MISSION, method="importance", fixed_d=2.0, seed=7, cycles=50_000),
-    )
+    with fixed_d(2.0):
+        est = estimate_top(tree, RunConfig(mission_time=MISSION, method="importance", seed=7, cycles=50_000))
     assert abs(p_dir - est.p_hat) <= 4 * math.hypot(se_dir, est.std_err)
 
 
