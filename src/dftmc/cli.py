@@ -26,7 +26,7 @@ import time
 from collections import Counter
 
 from . import __version__
-from .distributions import ReferenceSolverError
+from .distributions import ReferenceSolverError, _check_positive
 from .engine import (
     MAX_SEARCH_ITERATIONS,
     Estimate,
@@ -202,8 +202,8 @@ def _print_search_table(rows, config, out, method=None):
         else:
             note = "above band"
         print(
-            f"  {row['ic']:<4}{format_number(row['d_low']):<14}{d_up:<14}"
-            f"{format_number(row['d']):<14}{ampos} ({note})",
+            f"  {row['ic']:<3} {format_number(row['d_low']):<13} {d_up:<13} "
+            f"{format_number(row['d']):<13} {ampos} ({note})",
             file=out,
         )
 
@@ -245,9 +245,7 @@ def _load_tree(path):
 
 def _resolve_mission_time(args, doc) -> float:
     if getattr(args, "mission_time", None) is not None:
-        if not (math.isfinite(args.mission_time) and args.mission_time > 0):
-            raise ValidationError(f"mission time must be positive, got {args.mission_time}")
-        return args.mission_time
+        return _check_positive(args.mission_time, "mission time")
     if doc.mission_time is not None:
         return doc.mission_time
     raise ValidationError("mission time required: none in file, pass --mission-time")

@@ -5,7 +5,8 @@ LogNormal and Normal, on the :class:`Lifetime` base.  Normal is always the
 exact Normal law truncated at zero, so every family lives on [0, inf).
 Each family knows its density, CDF and quantile, and declares its own
 ``.dft`` keyword and parameter names, which the parser reads and writes
-events through.
+events through.  Numbers are converted where they enter: constructors and
+solvers keep the Python float they checked, whatever numpy dtype came in.
 Survival is kept in log space only (``log_sf``; there is no linear-space
 survival method), so tail masses near 1e-300 stay meaningful.
 
@@ -57,16 +58,19 @@ def _is_real(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
-def _check_positive(value: float, name: str) -> None:
-    if not (_is_real(value) and math.isfinite(value) and value > 0):
-        raise ValueError(f"{name} must be a finite positive number, got {value!r}")
+def _check_positive(value, name: str) -> float:
+    """The Python float ``value`` rounds to, which must be finite and positive."""
+    if _is_real(value) and 0.0 < (x := float(value)) < math.inf:
+        return x
+    raise ValueError(f"{name} must be a finite positive number, got {value!r}")
 
 
 class Lifetime:
     """Base of the lifetime families; holds the checked ``quantile``.
 
     ``family`` is the ``.dft`` keyword and ``keys`` the ``.dft`` parameter
-    names in dataclass-field order, so ``cls(*values)`` builds a law.
+    names in dataclass-field order, so ``cls(*values)`` builds a law.  Each
+    parameter is stored as the Python float its constructor checked.
     """
 
     family: str
@@ -90,7 +94,7 @@ class Exponential(Lifetime):
     keys = ("mttf",)
 
     def __post_init__(self):
-        _check_positive(self.mttf, "mttf")
+        object.__setattr__(self, "mttf", _check_positive(self.mttf, "mttf"))
 
     @property
     def scale(self) -> float:
@@ -129,8 +133,8 @@ class Weibull(Lifetime):
     keys = ("scale", "shape")
 
     def __post_init__(self):
-        _check_positive(self.scale_param, "scale")
-        _check_positive(self.shape, "shape")
+        object.__setattr__(self, "scale_param", _check_positive(self.scale_param, "scale"))
+        object.__setattr__(self, "shape", _check_positive(self.shape, "shape"))
 
     @property
     def scale(self) -> float:
@@ -182,9 +186,10 @@ class LogNormal(Lifetime):
 
     def __post_init__(self):
         # the median exp(mu) is the scale every reference law starts from
-        if not (_is_real(self.mu) and math.isfinite(self.mu) and self.mu <= _MAX_LOG and math.exp(self.mu) > 0.0):
+        if not (_is_real(self.mu) and (mu := float(self.mu)) <= _MAX_LOG and math.exp(mu) > 0.0):
             raise ValueError(f"mu must give a finite positive median exp(mu), got {self.mu!r}")
-        _check_positive(self.sigma, "sigma")
+        object.__setattr__(self, "mu", mu)
+        object.__setattr__(self, "sigma", _check_positive(self.sigma, "sigma"))
 
     @property
     def scale(self) -> float:
@@ -244,8 +249,8 @@ class Normal(Lifetime):
     keys = ("mean", "sd")
 
     def __post_init__(self):
-        _check_positive(self.mean, "mean")
-        _check_positive(self.sd, "sd")
+        object.__setattr__(self, "mean", _check_positive(self.mean, "mean"))
+        object.__setattr__(self, "sd", _check_positive(self.sd, "sd"))
 
     @property
     def scale(self) -> float:
@@ -316,7 +321,7 @@ class ReferenceDistribution:
 
 def scale(dist: Lifetime, v: float) -> ReferenceDistribution:
     """Build the scaled reference law g(t) = (1/a) f(t/a) with scale v."""
-    _check_positive(v, "v")
+    v = _check_positive(v, "v")
     # identity scaling reuses the base law itself, so g == f holds bit for
     # bit (LogNormal would otherwise round through log(exp(mu)))
     law = dist if v == dist.scale else dist.with_scale(v)
@@ -336,39 +341,35 @@ def solve_reference(dist: Lifetime, d: float, mission_time: float) -> float:
     ReferenceSolverError when v would underflow to zero or overflow, or
     when a Normal's sd, scaled with v, would.
     """
-    if not (math.isfinite(d) and d >= 1.0):
+    d, mission_time = _check_positive(d, "d"), _check_positive(mission_time, "mission_time")
+    if d < 1.0:
         raise ValueError(f"d must be >= 1, got {d!r}")
-    _check_positive(mission_time, "mission_time")
     if d == 1.0:
         return dist.scale
     log_d = math.log(d)
-    if isinstance(dist, (Exponential, Weibull)):
-        # past the float range the scale overflows on its way to 0: a
-        # Python float power raises, a numpy number gives inf
-        try:
-            with np.errstate(over="ignore"):
-                if isinstance(dist, Exponential):
-                    v = 1.0 / (1.0 / dist.mttf + log_d / mission_time)
-                else:
-                    b = dist.shape
-                    v = mission_time / ((mission_time / dist.scale_param) ** b + log_d) ** (1.0 / b)
-        except OverflowError:
-            v = 0.0
-    elif isinstance(dist, LogNormal):
-        target = float(dist.log_sf(mission_time)) - log_d
-        log_v = math.log(mission_time) + dist.sigma * float(ndtri_exp(target))
-        # math.exp raises OverflowError above this and returns 0.0 far below
-        v = math.exp(log_v) if log_v < _MAX_LOG else math.inf
-    else:
-        target = float(dist.log_sf(mission_time)) - log_d
-        cx = (dist.sd / dist.mean) * float(ndtri_exp(target + math.log1p(-dist._mass_below_zero)))
-        if not cx < 1.0:
-            raise ReferenceSolverError(
-                f"no reference scale matches a survival drop of {d!r} at mission time {mission_time!r}"
-            )
-        v = mission_time / (1.0 - cx)
-        if not 0.0 < dist.sd * (v / dist.mean) < math.inf:
-            v = 0.0  # the reference law's sd, scaled with v, leaves the range
+    # past the float range a scale overflows on its way to 0 or inf: 1/mttf
+    # becomes inf, and the float power and math.exp raise OverflowError
+    try:
+        if isinstance(dist, Exponential):
+            v = 1.0 / (1.0 / dist.mttf + log_d / mission_time)
+        elif isinstance(dist, Weibull):
+            b = dist.shape
+            v = mission_time / ((mission_time / dist.scale_param) ** b + log_d) ** (1.0 / b)
+        elif isinstance(dist, LogNormal):
+            target = float(dist.log_sf(mission_time)) - log_d
+            v = math.exp(math.log(mission_time) + dist.sigma * float(ndtri_exp(target)))
+        else:
+            target = float(dist.log_sf(mission_time)) - log_d
+            cx = (dist.sd / dist.mean) * float(ndtri_exp(target + math.log1p(-dist._mass_below_zero)))
+            if not cx < 1.0:
+                raise ReferenceSolverError(
+                    f"no reference scale matches a survival drop of {d!r} at mission time {mission_time!r}"
+                )
+            v = mission_time / (1.0 - cx)
+            if not 0.0 < dist.sd * (v / dist.mean) < math.inf:
+                v = 0.0  # the reference law's sd, scaled with v, leaves the range
+    except OverflowError:
+        v = 0.0
     if not 0.0 < v < math.inf:
         raise ReferenceSolverError(
             f"reference scale for a survival drop of {d!r} at mission time {mission_time!r} "
@@ -385,9 +386,9 @@ def solve_reference_bisect(dist: Lifetime, d: float, mission_time: float) -> flo
     which is strictly increasing in v, until v is resolved to machine
     precision.  The residual at the returned v is far below 1e-10.
     """
-    if not (math.isfinite(d) and d >= 1.0):
+    d, mission_time = _check_positive(d, "d"), _check_positive(mission_time, "mission_time")
+    if d < 1.0:
         raise ValueError(f"d must be >= 1, got {d!r}")
-    _check_positive(mission_time, "mission_time")
     if d == 1.0:
         return dist.scale
 

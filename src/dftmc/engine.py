@@ -43,7 +43,7 @@ import numpy as np
 from scipy.special import ndtri
 
 from .distributions import ReferenceDistribution, ReferenceSolverError, scale, solve_reference
-from .distributions import _check_positive, _is_real
+from .distributions import _check_positive
 from .tree import FaultTree, batch_top_times
 
 __all__ = [
@@ -95,7 +95,7 @@ class SearchError(RuntimeError):
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Knobs for one estimation run."""
+    """Knobs for one estimation run, stored as the Python numbers they were checked as."""
 
     mission_time: float
     cycles: int = 100_000
@@ -107,26 +107,26 @@ class RunConfig:
     method: str = "auto"  # auto | importance | direct
 
     def __post_init__(self):
-        _check_positive(self.mission_time, "mission_time")
+        object.__setattr__(self, "mission_time", _check_positive(self.mission_time, "mission_time"))
         for name in ("cycles", "prelim_cycles", "ampos_low", "ampos_high", "seed"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
-            # a numpy integer becomes a Python int, which seeds and reports take
             object.__setattr__(self, name, int(value))
         if not (0 <= self.seed <= _MASK64):
             raise ValueError(f"seed must be in [0, 2**64), got {self.seed}")
-        if self.cycles < 1:
-            raise ValueError("cycles must be at least 1")
+        if self.cycles < 2:  # the variance divides by cycles - 1
+            raise ValueError(f"cycles must be at least 2, got {self.cycles}")
         if not (0 < self.ampos_low < self.ampos_high <= self.prelim_cycles):
             raise ValueError(
                 "need 0 < ampos_low < ampos_high <= prelim_cycles, got "
                 f"{self.ampos_low}, {self.ampos_high}, {self.prelim_cycles}"
             )
-        if self.cycles < self.prelim_cycles:
-            raise ValueError("cycles must be >= prelim_cycles")
-        if not (_is_real(self.confidence) and 0.0 < self.confidence < 1.0):
-            raise ValueError(f"confidence must be in (0, 1), got {self.confidence!r}")
+        if self.method != "direct" and self.cycles < self.prelim_cycles:
+            raise ValueError("cycles must be >= prelim_cycles when the d search runs")
+        object.__setattr__(self, "confidence", _check_positive(self.confidence, "confidence"))
+        if not 0.5 + self.confidence / 2.0 < 1.0:  # else the z quantile is inf
+            raise ValueError(f"confidence must be in (0, 1) with a finite z quantile, got {self.confidence!r}")
         if self.method not in ("auto", "importance", "direct"):
             raise ValueError(f"method must be auto, importance or direct, got {self.method!r}")
 
@@ -138,10 +138,6 @@ class ReferenceModel:
     d: float
     events: tuple[str, ...]
     refs: tuple[ReferenceDistribution, ...]
-
-    @property
-    def vs(self) -> tuple[float, ...]:
-        return tuple(r.v for r in self.refs)
 
 
 @dataclass(frozen=True)
@@ -165,7 +161,6 @@ class BatchTotals:
     hits: int
     weight_sum: float
     weight_sq_sum: float
-    cycles: int
 
 
 @dataclass(frozen=True)
@@ -403,7 +398,7 @@ def run_batch(
     hits = sum(p[0] for p in partials)
     weight_sum = math.fsum(s for p in partials for s in p[1])
     weight_sq_sum = math.fsum(s for p in partials for s in p[2])
-    return BatchTotals(hits=hits, weight_sum=weight_sum, weight_sq_sum=weight_sq_sum, cycles=n_cycles)
+    return BatchTotals(hits=hits, weight_sum=weight_sum, weight_sq_sum=weight_sq_sum)
 
 
 def select_reference(tree: FaultTree, config: RunConfig) -> tuple[ReferenceModel, SearchTrace]:
@@ -474,7 +469,7 @@ def estimate_top(tree: FaultTree, config: RunConfig) -> Estimate:
         tree, model, config, config.cycles, phase=PHASE_FINAL, weighted=model.d != 1.0
     )
 
-    k = totals.cycles
+    k = config.cycles
     p_hat = totals.weight_sum / k
     var = max(totals.weight_sq_sum - k * p_hat * p_hat, 0.0) / (k - 1)
     std_err = math.sqrt(var / k)

@@ -51,7 +51,7 @@ def exact_static(tree: FaultTree, mission_time: float) -> ExactStaticResult:
     is weighted by its product mass and the tree is evaluated Boolean-wise.
     Raises ValueError unless ``mission_time`` is finite and positive.
     """
-    _check_positive(mission_time, "mission_time")
+    mission_time = _check_positive(mission_time, "mission_time")
     gates = tree.gate_order
     for gate in gates:
         if gate.kind not in _STATIC_KINDS:

@@ -26,11 +26,12 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .distributions import Lifetime
+from .distributions import Lifetime, _is_real
 
 __all__ = [
     "GateKind",
@@ -74,6 +75,11 @@ class Gate:
 
     def __post_init__(self):
         object.__setattr__(self, "children", tuple(self.children))
+        # numbers become the Python int or float they equal; validate refuses the rest
+        if isinstance(self.k, numbers.Integral) and not isinstance(self.k, bool):
+            object.__setattr__(self, "k", int(self.k))
+        if _is_real(self.dormancy):
+            object.__setattr__(self, "dormancy", float(self.dormancy))
 
 
 @dataclass(frozen=True)
@@ -114,9 +120,9 @@ def validate(tree: FaultTree) -> FaultTree:
 
     :class:`FaultTree` calls this when it is built; calling it again is
     harmless.  Raises :class:`ValidationError` naming the offending node
-    for: duplicate names, undeclared children, bad arity, voting threshold
-    out of range, spare dormancy outside [0, 1], cycles, and nodes
-    unreachable from TOP.
+    for: duplicate names, undeclared children, bad arity, a voting threshold
+    not an int in range, a spare dormancy not a float in [0, 1], cycles,
+    and nodes unreachable from TOP.
     """
     by_name: dict[str, BasicEvent | Gate] = {}
     for node in tree.nodes:
@@ -142,18 +148,18 @@ def validate(tree: FaultTree) -> FaultTree:
         elif node.kind is GateKind.VOTING:
             if arity < 1:
                 raise ValidationError(f"gate {node.name}: vote needs at least 1 child")
-            if node.k is None or not (1 <= node.k <= arity):
+            if type(node.k) is not int or not 1 <= node.k <= arity:
                 raise ValidationError(
-                    f"gate {node.name}: voting threshold {node.k} out of range 1..{arity}"
+                    f"gate {node.name}: voting threshold {node.k!r} is not an integer, or out of range 1..{arity}"
                 )
         elif node.kind is GateKind.SPARE:
             if arity != 2:
                 raise ValidationError(
                     f"gate {node.name}: spare takes exactly 2 children, has {arity}"
                 )
-            if node.dormancy is None or not (0.0 <= node.dormancy <= 1.0):
+            if type(node.dormancy) is not float or not 0.0 <= node.dormancy <= 1.0:
                 raise ValidationError(
-                    f"gate {node.name}: spare dormancy {node.dormancy} outside [0, 1]"
+                    f"gate {node.name}: spare dormancy {node.dormancy!r} is not a number, or outside [0, 1]"
                 )
 
     # Iterative DFS from TOP: detects cycles (naming the cycle) and yields a

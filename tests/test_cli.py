@@ -238,6 +238,22 @@ def test_text_search_table_reads_report_config(overlap_tree):
     assert notes == ["0 (below band)", "19 (below band)", "41 (above band)", "40 (accepted)"]
 
 
+def test_text_search_table_columns_split_into_report_fields(overlap_path):
+    # this search reaches d values of 18 digits, wider than their column
+    args = ["run", str(overlap_path), "--ampos-low", "40", "--ampos-high", "55", "--seed", "0"]
+    code, out, err = run_cli(args)
+    assert code == 0
+    code, js, err = run_cli([*args, "--format", "json"])
+    rows = json.loads(js)["search"]
+    lines = out.splitlines()
+    first = lines.index("  IC  D_Dn          D_Up          D             AmPos") + 1
+    assert len(rows) == 9
+    for line, row in zip(lines[first:first + len(rows)], rows, strict=True):
+        d_up = "inf" if row["d_up"] is None else format_number(row["d_up"])
+        expected = [str(row["ic"]), format_number(row["d_low"]), d_up, format_number(row["d"]), str(row["ampos"])]
+        assert line.split()[:5] == expected
+
+
 @pytest.mark.parametrize(
     "flags,note,method_line",
     [
@@ -322,6 +338,20 @@ def test_every_runconfig_knob_has_a_run_flag():
 def test_run_bad_knobs(overlap_path):
     code, out, err = run_cli(["run", str(overlap_path), "--cycles", "10"])
     assert code == 3
+
+
+def test_run_confidence_with_infinite_z_is_refused_before_running(overlap_path):
+    # 0.5 + c/2 rounds to 1.0 here; the run must not start, let alone print
+    code, out, err = run_cli(["run", str(overlap_path), "--confidence", "0.9999999999999999"])
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: confidence")
+
+
+def test_run_direct_with_fewer_cycles_than_a_pilot(overlap_path):
+    code, out, err = run_cli(["run", str(overlap_path), "--method", "direct", "--cycles", "500"])
+    assert code == 0
+    assert "hits     = 0 of 500 cycles" in out
 
 
 @pytest.mark.parametrize("seed", ["-1", str(2**64)])

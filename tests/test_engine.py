@@ -107,6 +107,10 @@ def exp_with_p(p):
         dict(mission_time="1"),
         dict(mission_time=1.0, confidence="0.9"),
         dict(mission_time=1.0, confidence=True),
+        # 0.5 + confidence / 2 rounds to 1, so z would be inf
+        dict(mission_time=1.0, confidence=0.9999999999999999),
+        # the variance divides by cycles - 1, whatever the method
+        dict(mission_time=1.0, method="direct", cycles=1),
     ],
 )
 def test_bad_config_rejected(kwargs):
@@ -228,8 +232,8 @@ def test_sample_times_match_base_law_at_d_one():
 def test_sample_times_match_reference_law_at_d_two():
     tree = single_event_tree(Exponential(1000.0))
     model = build_reference_model(tree, 2.0, MISSION)
-    assert model.vs[0] == pytest.approx(1.44062, rel=1e-5)
-    ref = Exponential(model.vs[0])
+    assert model.refs[0].v == pytest.approx(1.44062, rel=1e-5)
+    ref = Exponential(model.refs[0].v)
     draws = sample_times(model, block_streams(99, 0, 100_000), np.empty((1, 100_000)))[:, 0]
     assert _ks_distance(draws, lambda t: np.asarray(ref.cdf(t))) < 0.01
 
@@ -444,7 +448,7 @@ def _reference_totals(tree, model, config, n_cycles, phase):
         hits += int(np.count_nonzero(indicator))
         sums.append(float(np.sum(terms)))
         sq_sums.append(float(np.sum(terms * terms)))
-    return BatchTotals(hits=hits, weight_sum=math.fsum(sums), weight_sq_sum=math.fsum(sq_sums), cycles=n_cycles)
+    return BatchTotals(hits=hits, weight_sum=math.fsum(sums), weight_sq_sum=math.fsum(sq_sums))
 
 
 @pytest.mark.parametrize("d", [8.0, 2.0, 1.0])
@@ -481,7 +485,7 @@ def test_run_batch_group_edges_equal_all_row_reference(which, overlap_tree, mixe
     config = RunConfig(mission_time=MISSION, seed=8)
     for n_cycles in (1, BATCH - 1, BATCH, k * BATCH, k * BATCH + 1, 2 * k * BATCH + 100):
         reference = _reference_totals(tree, model, config, n_cycles, phase=5)
-        counted = BatchTotals(reference.hits, float(reference.hits), float(reference.hits), n_cycles)
+        counted = BatchTotals(reference.hits, float(reference.hits), float(reference.hits))
         for threads in (1, 2, 3):
             with worker_count(threads):
                 assert run_batch(tree, model, config, n_cycles, phase=5) == reference
@@ -520,8 +524,8 @@ def test_select_reference_overlap_accepts_two(overlap_tree):
     assert second.ic == 2 and second.d == 2.0
     assert 10 <= second.ampos <= 100
     # reference scales rebuilt from the accepted d
-    for be, v in zip(overlap_tree.basic_events, model.vs):
-        assert v == solve_reference(be.dist, 2.0, MISSION)
+    for be, ref in zip(overlap_tree.basic_events, model.refs):
+        assert ref.v == solve_reference(be.dist, 2.0, MISSION)
 
 
 def test_select_reference_direct_directive():
