@@ -52,7 +52,7 @@ EXIT_VALIDATION = 3
 EXIT_ENGINE = 4
 EXIT_UNSUPPORTED = 5
 
-_NO_HITS_WARNING = "no TOP events observed; use importance sampling"
+_NO_HITS_WARNING = "no TOP events observed; run with method auto (importance sampling)"
 _ZERO_WEIGHT_WARNING = "TOP events observed but every hit weight underflowed to 0; p_hat is not an estimate"
 
 
@@ -263,11 +263,10 @@ def cmd_check(args) -> int:
 def cmd_run(args) -> int:
     text, doc, tree = _load_tree(args.file)
     mission_time = _resolve_mission_time(args, doc)
-    method = {"auto": "auto", "is": "importance", "direct": "direct"}[args.method]
     # unset knobs are left out, so RunConfig alone owns their defaults
     knobs = ("cycles", "prelim_cycles", "ampos_low", "ampos_high", "confidence", "seed")
     given = {k: getattr(args, k) for k in knobs if getattr(args, k) is not None}
-    config = RunConfig(mission_time=mission_time, method=method, **given)
+    config = RunConfig(mission_time=mission_time, method=args.method, **given)
     started = time.perf_counter()
     try:
         estimate = estimate_top(tree, config)
@@ -328,7 +327,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--ampos-high", type=int)
     p_run.add_argument("--confidence", type=float)
     p_run.add_argument("--seed", type=int)
-    p_run.add_argument("--method", choices=["auto", "is", "direct"], default="auto")
+    p_run.add_argument("--method", choices=["auto", "direct"], default="auto")
     p_run.add_argument("--format", choices=["text", "json"], default="text")
     p_run.set_defaults(func=cmd_run)
 

@@ -53,14 +53,23 @@ class ReferenceSolverError(RuntimeError):
     """No reference scale satisfies the survival-matching condition."""
 
 
-def _is_real(value) -> bool:
-    # numpy scalars pass; a bool does not, though Python counts it an int
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+def _real(value) -> float | None:
+    # the Python float a real number rounds to, or None; numpy scalars pass,
+    # a bool (though Python counts it an int) or an int past the float range
+    # does not
+    if type(value) is float:  # the common case skips the costly ABC check
+        return value
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        return None
+    try:
+        return float(value)
+    except OverflowError:
+        return None
 
 
 def _check_positive(value, name: str) -> float:
     """The Python float ``value`` rounds to, which must be finite and positive."""
-    if _is_real(value) and 0.0 < (x := float(value)) < math.inf:
+    if (x := _real(value)) is not None and 0.0 < x < math.inf:
         return x
     raise ValueError(f"{name} must be a finite positive number, got {value!r}")
 
@@ -186,7 +195,7 @@ class LogNormal(Lifetime):
 
     def __post_init__(self):
         # the median exp(mu) is the scale every reference law starts from
-        if not (_is_real(self.mu) and (mu := float(self.mu)) <= _MAX_LOG and math.exp(mu) > 0.0):
+        if not ((mu := _real(self.mu)) is not None and mu <= _MAX_LOG and math.exp(mu) > 0.0):
             raise ValueError(f"mu must give a finite positive median exp(mu), got {self.mu!r}")
         object.__setattr__(self, "mu", mu)
         object.__setattr__(self, "sigma", _check_positive(self.sigma, "sigma"))

@@ -104,7 +104,7 @@ class RunConfig:
     ampos_high: int = 100
     confidence: float = 0.999
     seed: int = 0  # in [0, 2**64)
-    method: str = "auto"  # auto | importance | direct
+    method: str = "auto"  # auto | direct
 
     def __post_init__(self):
         object.__setattr__(self, "mission_time", _check_positive(self.mission_time, "mission_time"))
@@ -115,6 +115,8 @@ class RunConfig:
             object.__setattr__(self, name, int(value))
         if not (0 <= self.seed <= _MASK64):
             raise ValueError(f"seed must be in [0, 2**64), got {self.seed}")
+        if self.method not in ("auto", "direct"):
+            raise ValueError(f"method must be auto or direct, got {self.method!r}")
         if self.cycles < 2:  # the variance divides by cycles - 1
             raise ValueError(f"cycles must be at least 2, got {self.cycles}")
         if not (0 < self.ampos_low < self.ampos_high <= self.prelim_cycles):
@@ -127,8 +129,6 @@ class RunConfig:
         object.__setattr__(self, "confidence", _check_positive(self.confidence, "confidence"))
         if not 0.5 + self.confidence / 2.0 < 1.0:  # else the z quantile is inf
             raise ValueError(f"confidence must be in (0, 1) with a finite z quantile, got {self.confidence!r}")
-        if self.method not in ("auto", "importance", "direct"):
-            raise ValueError(f"method must be auto, importance or direct, got {self.method!r}")
 
 
 @dataclass(frozen=True)
@@ -405,10 +405,10 @@ def select_reference(tree: FaultTree, config: RunConfig) -> tuple[ReferenceModel
     """Pick the drop parameter d by pilot runs, and its reference model.
 
     Iteration 1 runs the pilot at d = 1 (reference laws equal the base
-    laws).  Any hit there means the event is not rare: the d = 1 model is
-    returned, and the final run goes direct, unless the caller forces
-    importance sampling.  Otherwise d is doubled until the hit count
-    overshoots the target band, then the bracket is bisected in log d (its
+    laws), and every pilot is judged by the target hit band: one inside it
+    is accepted, and so is a d = 1 pilot above it, since d cannot go below
+    1.  A d = 1 model goes direct.  Otherwise d is doubled until the hit
+    count overshoots the band, then the bracket is bisected in log d (its
     geometric mean).  Fresh cycles are drawn each iteration.
     """
     trace = SearchTrace()
@@ -423,13 +423,9 @@ def select_reference(tree: FaultTree, config: RunConfig) -> tuple[ReferenceModel
         ampos = totals.hits
         trace.iterations.append(SearchIteration(ic=ic, d=d, d_low=d_low, d_up=d_up, ampos=ampos))
 
-        # d cannot go below 1: a d = 1 pilot with hits keeps the base laws,
-        # and so does forced importance sampling above the band
-        if ic == 1 and ampos >= 1 and config.method != "importance":
-            return model, trace
         if config.ampos_low <= ampos <= config.ampos_high:
             return model, trace
-        if ic == 1 and ampos > config.ampos_high:
+        if ic == 1 and ampos > config.ampos_high:  # d cannot go below 1
             return model, trace
 
         if ampos < config.ampos_low:
@@ -438,11 +434,13 @@ def select_reference(tree: FaultTree, config: RunConfig) -> tuple[ReferenceModel
             d_up = d
         d = 2.0 * d if math.isinf(d_up) else math.sqrt(d_low * d_up)
 
-    raise SearchError(
+    message = (
         f"no d reached the [{config.ampos_low}, {config.ampos_high}] hit band "
-        f"within {MAX_SEARCH_ITERATIONS} iterations",
-        trace,
+        f"within {MAX_SEARCH_ITERATIONS} iterations"
     )
+    if any(it.ampos for it in trace.iterations):
+        message += ", though pilots hit TOP: run with method direct (direct simulation)"
+    raise SearchError(message, trace)
 
 
 def _z_quantile(confidence: float) -> float:
@@ -453,21 +451,18 @@ def estimate_top(tree: FaultTree, config: RunConfig) -> Estimate:
     """Full estimation pipeline: reference search, main run, interval.
 
     The search's model decides the final run: at d = 1 every weight is 1,
-    so it runs unweighted, which is direct simulation unless the caller
-    forced importance sampling; the ``direct`` method skips the search and
-    runs the d = 1 model.  The standard error is the sample standard
-    deviation of the per-cycle weighted indicator terms divided by
-    sqrt(cycles); the interval is p_hat +- z * std_err at the configured
-    confidence level.
+    so it runs unweighted, which is direct simulation; the ``direct``
+    method skips the search and runs the d = 1 model.  The standard error
+    is the sample standard deviation of the per-cycle weighted indicator
+    terms divided by sqrt(cycles); the interval is p_hat +- z * std_err at
+    the configured confidence level.
     """
     if config.method == "direct":
         model, trace = build_reference_model(tree, 1.0, config.mission_time), None
     else:
         model, trace = select_reference(tree, config)
-    direct = model.d == 1.0 and config.method != "importance"
-    totals = run_batch(
-        tree, model, config, config.cycles, phase=PHASE_FINAL, weighted=model.d != 1.0
-    )
+    direct = model.d == 1.0
+    totals = run_batch(tree, model, config, config.cycles, phase=PHASE_FINAL, weighted=not direct)
 
     k = config.cycles
     p_hat = totals.weight_sum / k

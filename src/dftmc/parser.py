@@ -67,7 +67,6 @@ class TreeDocument:
     them in validation's children-first order.
     """
 
-    version: int = 1
     mission_time: float | None = None
     events: list[BasicEvent] = field(default_factory=list)
     gates: list[Gate] = field(default_factory=list)
@@ -77,8 +76,7 @@ class TreeDocument:
         if not isinstance(other, TreeDocument):
             return NotImplemented
         return (
-            self.version == other.version
-            and self.mission_time == other.mission_time
+            self.mission_time == other.mission_time
             and self.events == other.events
             and {g.name: g for g in self.gates} == {g.name: g for g in other.gates}
             and self.top == other.top
@@ -133,7 +131,6 @@ def parse(text: str) -> TreeDocument:
                 raise ParseError("header takes exactly one version token", lineno, col)
             if toks[1][0] != "1":
                 raise ParseError(f"unsupported format version {toks[1][0]!r}", lineno, toks[1][1])
-            doc.version = 1
             header_seen = True
             continue
 

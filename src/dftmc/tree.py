@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .distributions import Lifetime, _is_real
+from .distributions import Lifetime, _real
 
 __all__ = [
     "GateKind",
@@ -78,8 +78,8 @@ class Gate:
         # numbers become the Python int or float they equal; validate refuses the rest
         if isinstance(self.k, numbers.Integral) and not isinstance(self.k, bool):
             object.__setattr__(self, "k", int(self.k))
-        if _is_real(self.dormancy):
-            object.__setattr__(self, "dormancy", float(self.dormancy))
+        if (dormancy := _real(self.dormancy)) is not None:
+            object.__setattr__(self, "dormancy", dormancy)
 
 
 @dataclass(frozen=True)

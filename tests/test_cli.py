@@ -10,6 +10,7 @@ import pytest
 
 from dftmc import BasicEvent, Exponential, FaultTree, Gate, GateKind, RunConfig, estimate_top, parse, to_fault_tree
 from dftmc.cli import _print_text_report, build_arg_parser, build_report, dumps_canonical, format_number, main
+from dftmc.distributions import solve_reference
 from dftmc.engine import MAX_SEARCH_ITERATIONS
 from conftest import IMPOSSIBLE_DFT, STATIC_OR2_DFT, fixed_d, worker_count
 
@@ -73,11 +74,11 @@ def test_dumps_canonical_is_valid_json():
 
 def _and2_report(real, integer):
     # every float the caller supplies is built by ``real``, and one integer
-    # field by ``integer``; at d = 1 each law's own scale is the report's v
+    # field by ``integer``; the reference scales are solved at d = 2
     events = (BasicEvent("A", Exponential(real(5.0))), BasicEvent("B", Exponential(real(7.0))))
     tree = FaultTree((*events, Gate("TOP", GateKind.AND, ("A", "B"))), "TOP")
-    config = RunConfig(mission_time=real(1.0), cycles=1_000, method="importance")
-    with fixed_d(1.0):
+    config = RunConfig(mission_time=real(1.0), cycles=1_000)
+    with fixed_d(2.0):
         estimate = estimate_top(tree, config)
     report = build_report("and2.dft", "", tree, config, estimate, 0.0)
     report["tree"]["basic_events"] = integer(2)
@@ -86,7 +87,7 @@ def _and2_report(real, integer):
 
 def test_report_with_numpy_numbers_is_the_python_report():
     text = _and2_report(np.float64, np.int64)
-    assert json.loads(text)["reference"]["events"][1]["v"] == 7.0
+    assert json.loads(text)["reference"]["events"][1]["v"] == solve_reference(Exponential(7.0), 2.0, 1.0)
     assert text == _and2_report(float, int)
 
 
@@ -191,7 +192,7 @@ def test_run_direct_zero_hits_warns(overlap_path):
     report = json.loads(out)
     assert report["estimate"]["p_hat"] == 0.0
     assert report["estimate"]["hits"] == 0
-    assert report["warnings"] == ["no TOP events observed; use importance sampling"]
+    assert report["warnings"] == ["no TOP events observed; run with method auto (importance sampling)"]
 
 
 def test_report_warns_when_hit_weights_underflow(schema):
@@ -202,7 +203,7 @@ def test_report_warns_when_hit_weights_underflow(schema):
     text = "dft 1\n" + "".join(f"be {n} exp mttf=1000.0\n" for n in names)
     text += f"gate TOP and {' '.join(names)}\ntop TOP\n"
     tree = to_fault_tree(parse(text))
-    config = RunConfig(mission_time=1.0, cycles=10_000, seed=1, method="importance")
+    config = RunConfig(mission_time=1.0, cycles=10_000, seed=1)
     with fixed_d(1e300):
         estimate = estimate_top(tree, config)
     assert estimate.hits == 10_000 and estimate.p_hat == 0.0 and estimate.std_err == 0.0
@@ -220,8 +221,7 @@ def test_text_search_table_reads_report_config(overlap_tree):
     # the table's header and notes come from the report's own config block;
     # the last row is labelled by the run's method
     config = RunConfig(
-        mission_time=1.0, cycles=2_000, prelim_cycles=500, ampos_low=20, ampos_high=40,
-        method="importance",
+        mission_time=1.0, cycles=2_000, prelim_cycles=500, ampos_low=20, ampos_high=40
     )
     with fixed_d(2.0):
         estimate = estimate_top(overlap_tree, config)
@@ -256,14 +256,12 @@ def test_text_search_table_columns_split_into_report_fields(overlap_path):
 
 @pytest.mark.parametrize(
     "flags,note,method_line",
-    [
-        ([], "157 (direct)", "method: direct simulation"),
-        (["--method", "is"], "157 (accepted)", "method: importance sampling (d = 1.0)"),
-    ],
-    ids=["auto", "is"],
+    [([], "157 (direct)", "method: direct simulation")],
+    ids=["auto"],
 )
 def test_text_search_table_labels_deciding_pilot_by_method(tmp_path, flags, note, method_line):
-    # the one pilot is above the band; it decides the run either way
+    # the one pilot is above the band; d cannot go below 1, so it decides
+    # the run, which goes direct
     path = write(tmp_path, "or2.dft", STATIC_OR2_DFT)
     code, out, err = run_cli(["run", path, "--cycles", "10000", *flags])
     assert code == 0
@@ -288,6 +286,13 @@ def test_run_has_no_threads_flag(overlap_path):
     # the engine picks the worker count; only CPU affinity caps it
     with pytest.raises(SystemExit) as info:
         main(["run", str(overlap_path), "--threads", "2"])
+    assert info.value.code == 2
+
+
+def test_run_has_no_forced_importance_method(overlap_path):
+    # auto runs importance sampling wherever the search leaves d = 1
+    with pytest.raises(SystemExit) as info:
+        main(["run", str(overlap_path), "--method", "is"])
     assert info.value.code == 2
 
 
@@ -375,12 +380,28 @@ def test_run_search_failure_dumps_trace(tmp_path):
     assert len(lines) == 4 + 30
 
 
+def test_run_pilots_that_hit_but_never_reach_the_band_name_direct(tmp_path):
+    # six events must fail in order: no d lifts the pilot hits into the band
+    events = "".join(f"be {name} exp mttf=0.3\n" for name in "ABCDEF")
+    text = f"dft 1\nmission_time 1\n{events}gate TOP pand A B C D E F\ntop TOP\n"
+    path = write(tmp_path, "pand6.dft", text)
+    code, out, err = run_cli(["run", path, "--seed", "1"])
+    assert code == 4
+    assert out == ""
+    assert err.splitlines()[0] == (
+        "error: no d reached the [10, 100] hit band within 30 iterations, "
+        "though pilots hit TOP: run with method direct (direct simulation)"
+    )
+    code, out, err = run_cli(["run", path, "--seed", "1", "--method", "direct"])
+    assert code == 0 and "method: direct simulation" in out
+
+
 @pytest.mark.parametrize(
     "law",
     ["exp mttf=1e308", "normal mean=1e308 sd=1e308", "lognormal mu=709.78 sigma=1"],
     ids=["exp", "normal", "lognormal"],
 )
-@pytest.mark.parametrize("method", ["auto", "is", "direct"])
+@pytest.mark.parametrize("method", ["auto", "direct"])
 def test_run_lifetimes_beyond_float_range_do_not_warn(tmp_path, law, method):
     # A's lifetimes overflow to inf, the correct value; the suite turns any
     # RuntimeWarning from the overflow into an error

@@ -125,6 +125,11 @@ def test_cdf_nondecreasing(dist):
         lambda: Normal(0.0, 1.0),
         lambda: LogNormal(800.0, 1.0),
         lambda: LogNormal(-800.0, 1.0),
+        # ints too large for a float
+        lambda: Exponential(10**400),
+        lambda: Weibull(1.0, 10**400),
+        lambda: LogNormal(10**400, 1.0),
+        lambda: Normal(10**400, 1.0),
     ],
 )
 def test_invalid_parameters_rejected(bad):

@@ -1,7 +1,10 @@
+import json
 import re
 import shlex
+from importlib import resources
 
 from conftest import REPO
+from dftmc import RunConfig
 from dftmc.cli import build_arg_parser, main
 
 
@@ -41,15 +44,41 @@ def test_readme_quick_start_transcripts_match_the_cli(monkeypatch, capsys):
         assert re.match(_transcript_pattern(shown), output), (command, output)
 
 
-def test_readme_run_flags_are_the_parsers():
+def _readme_run_flags():
     readme = (REPO / "README.md").read_text()
-    paragraph = readme.split("`run` flags:", 1)[1].split("\n\n", 1)[0]
-    documented = set(re.findall(r"`(--[a-z-]+)", paragraph))
+    return readme.split("`run` flags:", 1)[1].split("\n\n", 1)[0]
+
+
+def _run_actions():
     sub = next(a for a in build_arg_parser()._actions if a.dest == "command")
+    return sub.choices["run"]._actions
+
+
+def test_readme_run_flags_are_the_parsers():
+    documented = set(re.findall(r"`(--[a-z-]+)", _readme_run_flags()))
     parsed = {
         option
-        for action in sub.choices["run"]._actions
+        for action in _run_actions()
         for option in action.option_strings
         if option.startswith("--") and option != "--help"
     }
     assert documented == parsed
+
+
+def _run_config_accepts(method):
+    try:
+        RunConfig(mission_time=1.0, method=method)
+    except ValueError:
+        return False
+    return True
+
+
+def test_methods_are_one_set_in_readme_parser_schema_and_run_config():
+    documented = set(re.search(r"`--method ([a-z|]+)`", _readme_run_flags()).group(1).split("|"))
+    parsed = set(next(a for a in _run_actions() if a.dest == "method").choices)
+    schema = json.loads(resources.files("dftmc").joinpath("report_schema.json").read_text())
+    in_schema = set(schema["properties"]["config"]["properties"]["method"]["enum"])
+    # the retired names of forced importance sampling are candidates too
+    candidates = documented | parsed | in_schema | {"is", "importance"}
+    accepted = {method for method in candidates if _run_config_accepts(method)}
+    assert documented == parsed == in_schema == accepted

@@ -111,11 +111,23 @@ def exp_with_p(p):
         dict(mission_time=1.0, confidence=0.9999999999999999),
         # the variance divides by cycles - 1, whatever the method
         dict(mission_time=1.0, method="direct", cycles=1),
+        # importance sampling is what auto does wherever d leaves 1
+        dict(mission_time=1.0, method="importance"),
+        # an int too large for a float is no finite number
+        dict(mission_time=10**400),
+        dict(mission_time=1.0, confidence=10**400),
     ],
 )
 def test_bad_config_rejected(kwargs):
     with pytest.raises(ValueError):
         RunConfig(**kwargs)
+
+
+@pytest.mark.parametrize("method", ["bogus", "importance"])
+def test_unknown_method_is_named_before_the_cycles_rule(method):
+    # the cycles rule reads the method, so the method is checked first
+    with pytest.raises(ValueError, match="method"):
+        RunConfig(mission_time=1.0, method=method, cycles=500)
 
 
 def test_fixed_d_is_not_a_knob():
@@ -141,9 +153,9 @@ def test_numpy_integer_knobs_run_like_python_ints(overlap_tree):
 def test_numpy_integer_mission_time_runs_importance_sampling(overlap_tree):
     # the reference solver checks the mission time as a real number, so a
     # numpy integer gets past the pilot
-    est = estimate_top(overlap_tree, RunConfig(mission_time=np.int64(1), method="importance"))
+    est = estimate_top(overlap_tree, RunConfig(mission_time=np.int64(1)))
     assert est.method == "importance" and est.p_hat > 0
-    assert est == estimate_top(overlap_tree, RunConfig(mission_time=1.0, method="importance"))
+    assert est == estimate_top(overlap_tree, RunConfig(mission_time=1.0))
 
 
 # -- sampling -----------------------------------------------------------------
@@ -531,26 +543,27 @@ def test_select_reference_overlap_accepts_two(overlap_tree):
 def test_select_reference_direct_directive():
     tree = single_event_tree(exp_with_p(0.05))
     model, trace = select_reference(tree, RunConfig(mission_time=MISSION, seed=1))
-    # the d = 1 pilot's own model, which the final run goes direct with
+    # a d = 1 pilot in the band: its own model, which the final run goes
+    # direct with
     assert model.d == 1.0
     assert len(trace.iterations) == 1
-    assert trace.iterations[0].ampos >= 1
+    assert 10 <= trace.iterations[0].ampos <= 100
 
 
-def test_select_reference_forced_importance_in_band():
-    tree = single_event_tree(exp_with_p(0.05))
-    config = RunConfig(mission_time=MISSION, seed=1, method="importance")
-    model, trace = select_reference(tree, config)
-    assert model is not None and model.d == 1.0
-
-
-def test_select_reference_forced_importance_above_band():
-    tree = single_event_tree(exp_with_p(0.5))
-    config = RunConfig(mission_time=MISSION, seed=1, method="importance")
-    model, trace = select_reference(tree, config)
-    # cannot drop below d=1; runs with the base laws
-    assert model is not None and model.d == 1.0
-    assert trace.iterations[0].ampos > config.ampos_high
+def test_d_one_pilot_below_the_band_searches_on():
+    # P(TOP) = 0.004: the d = 1 pilot sees a few hits, too few to trust, so
+    # the search raises d as after a pilot with none
+    tree = single_event_tree(exp_with_p(0.004))
+    est = estimate_top(tree, RunConfig(mission_time=MISSION, seed=0))
+    first, *rest = est.trace.iterations
+    assert first.d == 1.0 and 1 <= first.ampos <= 9 and rest
+    assert est.method == "importance" and est.reference.d > 1.0
+    assert abs(est.p_hat - 0.004) <= 4 * est.std_err
+    # direct simulation at the same seed is the run such a pilot once chose
+    direct = estimate_top(tree, RunConfig(mission_time=MISSION, method="direct", seed=0))
+    assert (direct.p_hat.hex(), direct.std_err.hex(), direct.hits) == (
+        "0x1.13e81450efdcap-8", "0x1.ad652060de110p-13", 421
+    )
 
 
 def test_select_reference_failure_carries_trace(impossible_tree):
@@ -608,17 +621,17 @@ def test_estimate_direct_single_event():
 
 def test_importance_at_d_one_equals_direct_bitwise():
     # about 200 pilot hits in 1000 cycles, above the band: the search cannot
-    # go below d = 1, so forced importance sampling keeps the base laws
+    # go below d = 1, so it keeps the base laws and the final run goes direct
     tree = single_event_tree(exp_with_p(0.2))
     direct = estimate_top(tree, RunConfig(mission_time=MISSION, method="direct", seed=21))
-    forced = estimate_top(tree, RunConfig(mission_time=MISSION, method="importance", seed=21))
-    assert forced.trace.iterations[0].ampos > 100
-    assert forced.method == "importance" and forced.reference.d == 1.0
-    assert forced.p_hat == direct.p_hat
-    assert forced.std_err == direct.std_err
-    assert forced.hits == direct.hits
+    auto = estimate_top(tree, RunConfig(mission_time=MISSION, seed=21))
+    assert auto.trace.iterations[0].ampos > 100
+    assert auto.method == "direct" and auto.reference is None
+    assert auto.p_hat == direct.p_hat
+    assert auto.std_err == direct.std_err
+    assert auto.hits == direct.hits
     # weights are exactly 1, so the weighted sum is the hit count
-    assert forced.p_hat * forced.cycles_used == float(forced.hits)
+    assert auto.p_hat * auto.cycles_used == float(auto.hits)
 
 
 def test_importance_and_direct_agree_on_non_rare(static_or2_tree):
@@ -627,7 +640,7 @@ def test_importance_and_direct_agree_on_non_rare(static_or2_tree):
         with fixed_d(2.0):
             est_is = estimate_top(
                 static_or2_tree,
-                RunConfig(mission_time=MISSION, method="importance", seed=seed, cycles=20_000, prelim_cycles=1000),
+                RunConfig(mission_time=MISSION, seed=seed, cycles=20_000, prelim_cycles=1000),
             )
         est_dir = estimate_top(
             static_or2_tree,
@@ -694,11 +707,11 @@ def test_estimates_match_golden_bits(overlap_tree, mixed_tree, static_or2_tree):
     gen_tree = random_tree(np.random.default_rng(41), 30)
     assert sum(g.kind is GateKind.VOTING for g in gen_tree.gates) == 3
     runs = [
-        (overlap_tree, dict(mission_time=MISSION, method="importance", seed=0),
+        (overlap_tree, dict(mission_time=MISSION, seed=0),
          ("0x1.1379f8c701edbp-45", "0x1.13c077981df84p-51", 4581)),
-        (mixed_tree, dict(mission_time=MISSION, method="importance", seed=0),
+        (mixed_tree, dict(mission_time=MISSION, seed=0),
          ("0x1.e3a017fd6cbccp-25", "0x1.8fe3949610e3ap-27", 8288)),
-        (mixed_tree, dict(mission_time=MISSION, method="importance", seed=1),
+        (mixed_tree, dict(mission_time=MISSION, seed=1),
          ("0x1.84b153572420cp-25", "0x1.639047085707bp-27", 8302)),
         # two blocks of 4096 cycles, run direct
         (gen_tree, dict(mission_time=20.0, method="direct", seed=0, cycles=2 * BATCH),
@@ -706,8 +719,8 @@ def test_estimates_match_golden_bits(overlap_tree, mixed_tree, static_or2_tree):
         # goes direct after its d = 1 pilot hits
         (gen_tree, dict(mission_time=20.0, seed=3, cycles=2 * BATCH),
          ("0x1.14f0000000000p-1", "0x1.68d909a20cb14p-8", 4431)),
-        # forced importance above the band stays at d = 1
-        (static_or2_tree, dict(mission_time=1.0, method="importance", seed=0, cycles=2 * BATCH),
+        # a d = 1 pilot above the band goes direct
+        (static_or2_tree, dict(mission_time=1.0, seed=0, cycles=2 * BATCH),
          ("0x1.8340000000000p-3", "0x1.1b8cc048daeabp-8", 1549)),
     ]
     for tree, kwargs, expected in runs:
@@ -715,7 +728,7 @@ def test_estimates_match_golden_bits(overlap_tree, mixed_tree, static_or2_tree):
             with worker_count(threads):
                 est = estimate_top(tree, RunConfig(**kwargs))
             assert (est.p_hat.hex(), est.std_err.hex(), est.hits) == expected
-    assert est.method == "importance" and est.reference.d == 1.0
+    assert est.method == "direct" and est.reference is None
 
 
 # -- quadrature cross-checks on dynamic gates --------------------------------

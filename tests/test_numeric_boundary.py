@@ -80,7 +80,7 @@ def _and2(number, mttfs, mission_time, confidence, seed):
     events = tuple(BasicEvent(name, Exponential(number(u))) for name, u in zip("AB", mttfs))
     tree = FaultTree((*events, Gate("TOP", GateKind.AND, ("A", "B"))), "TOP")
     config = RunConfig(
-        mission_time=number(mission_time), cycles=5_000, confidence=confidence, seed=seed, method="importance"
+        mission_time=number(mission_time), cycles=5_000, confidence=confidence, seed=seed
     )
     assert type(config.mission_time) is float and type(config.confidence) is float
     estimate = estimate_top(tree, config)
@@ -123,8 +123,9 @@ def test_wider_numbers_that_round_out_of_the_float_range_are_refused():
         Gate("G", GateKind.VOTING, ("X", "Y"), k=np.float64(1.0)),
         Gate("G", GateKind.SPARE, ("X", "Y"), dormancy="0.5"),
         Gate("G", GateKind.SPARE, ("X", "Y"), dormancy=True),
+        Gate("G", GateKind.SPARE, ("X", "Y"), dormancy=10**400),
     ],
-    ids=["k-float", "k-bool", "k-numpy-float", "dormancy-str", "dormancy-bool"],
+    ids=["k-float", "k-bool", "k-numpy-float", "dormancy-str", "dormancy-bool", "dormancy-huge-int"],
 )
 def test_gate_numbers_of_the_wrong_kind_are_refused_when_the_tree_is_built(gate):
     events = (BasicEvent("X", Exponential(5.0)), BasicEvent("Y", Exponential(7.0)))

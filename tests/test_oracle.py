@@ -196,7 +196,7 @@ def test_direct_rich_agrees_with_engine_on_rescaled_overlap():
     )
     p_dir, se_dir = direct_rich(tree, MISSION, 50_000, seed=6)
     with fixed_d(2.0):
-        est = estimate_top(tree, RunConfig(mission_time=MISSION, method="importance", seed=7, cycles=50_000))
+        est = estimate_top(tree, RunConfig(mission_time=MISSION, seed=7, cycles=50_000))
     assert abs(p_dir - est.p_hat) <= 4 * math.hypot(se_dir, est.std_err)
 
 

@@ -15,7 +15,6 @@ from treegen import random_document
 
 def test_parse_overlap_demo():
     doc = parse(OVERLAP_DFT)
-    assert doc.version == 1
     assert doc.mission_time == 1.0
     assert [e.name for e in doc.events] == ["BE1", "BE2", "BE3", "BE4"]
     assert [e.dist.mttf for e in doc.events] == [1000.0, 2000.0, 3000.0, 4000.0]
@@ -213,6 +212,6 @@ def test_roundtrip_random_documents():
         # an equal document with its gates declared in another order
         gates = list(doc.gates)
         shuffle_rng.shuffle(gates)
-        shuffled = TreeDocument(doc.version, doc.mission_time, list(doc.events), gates, doc.top)
+        shuffled = TreeDocument(doc.mission_time, list(doc.events), gates, doc.top)
         assert shuffled == doc
         assert serialize(shuffled) == text

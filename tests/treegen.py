@@ -107,7 +107,6 @@ def random_sample(rng: np.random.Generator, n: int, mission_time: float = 1.0):
 def random_document(rng: np.random.Generator) -> TreeDocument:
     tree = random_tree(rng, int(rng.integers(2, 7)))
     doc = TreeDocument(
-        version=1,
         mission_time=float(rng.uniform(0.5, 10.0)) if rng.random() < 0.7 else None,
         events=list(tree.basic_events),
         gates=list(tree.gates),
