@@ -13,6 +13,12 @@ straight into one event-major buffer and turns them into failure times in
 place, and ``log_weights`` turns a matrix of failure times into per-cycle
 log likelihood ratios.  No other code samples or weights cycles.
 
+At d = 1 the times matrix is censored at the mission time T: an event
+whose F(T) is below ``CUT_MAX`` inverts only the uniforms that can land
+inside the window, and its other lifetimes are inf.  No gate output below
+T, and no weight, depends on the value of a time at or past T, so every
+result is the same bit for bit as with every uniform inverted.
+
 All reference laws hang off a single knob ``d``; a preliminary search picks
 ``d`` so that the hit count over a small pilot run lands inside a target
 band, doubling ``d`` until bracketed and then bisecting the bracket in
@@ -84,6 +90,14 @@ PHASE_FINAL = 0
 # Pilot runs the d search makes before giving up.
 MAX_SEARCH_ITERATIONS = 30
 
+# Censored inversion at d = 1 (:func:`_window_cut`).  Above CUT_MAX,
+# inverting the whole row is as fast (per-family crossovers in
+# docs/design-notes.md, "Batch layout").  _TIME_MARGIN clears the few ulps
+# a spare's (1 - a) * z1 + z2 can round below z1.
+CUT_MAX = 0.25
+_CUT_MARGIN = 1e-6
+_TIME_MARGIN = 1e-9
+
 
 class SearchError(RuntimeError):
     """The reference-parameter search ran out of iterations."""
@@ -133,11 +147,16 @@ class RunConfig:
 
 @dataclass(frozen=True)
 class ReferenceModel:
-    """Per-event reference laws tied together by the common drop parameter d."""
+    """Per-event reference laws tied together by the common drop parameter d.
+
+    ``cuts[i]`` is the uniform at and above which event i's lifetimes are
+    censored to inf by :func:`sample_times`; 1.0 inverts every uniform.
+    """
 
     d: float
     events: tuple[str, ...]
     refs: tuple[ReferenceDistribution, ...]
+    cuts: tuple[float, ...]
 
 
 @dataclass(frozen=True)
@@ -179,7 +198,12 @@ class Estimate:
 
 
 def build_reference_model(tree: FaultTree, d: float, mission_time: float) -> ReferenceModel:
-    """Solve every basic event's reference scale at drop parameter d."""
+    """Solve every basic event's reference scale at drop parameter d.
+
+    At d = 1 each event also gets its censoring cut (:func:`_window_cut`).
+    At d >= 2 every G(T) is at least 0.5, far above ``CUT_MAX``, so no cut
+    is computed and every row is inverted whole.
+    """
     names = []
     refs = []
     for be in tree.basic_events:
@@ -189,7 +213,30 @@ def build_reference_model(tree: FaultTree, d: float, mission_time: float) -> Ref
             raise ReferenceSolverError(f"event {be.name}: {exc}") from exc
         names.append(be.name)
         refs.append(scale(be.dist, v))
-    return ReferenceModel(d=d, events=tuple(names), refs=tuple(refs))
+    if d == 1.0:
+        cuts = tuple(_window_cut(ref.law, mission_time) for ref in refs)
+    else:
+        cuts = (1.0,) * len(refs)
+    return ReferenceModel(d=d, events=tuple(names), refs=tuple(refs), cuts=cuts)
+
+
+def _window_cut(law, mission_time: float) -> float:
+    """The uniform at and above which ``law``'s lifetimes lie past the window.
+
+    That is u* = c * (1 + 1e-6), with c = F(T) = -expm1(log S(T)), when c
+    is below ``CUT_MAX`` and the quantile of u* is at least T * (1 + 1e-9);
+    otherwise 1.0, which inverts every uniform.  The check, not the margin,
+    makes the cut safe: a rounding quantile can land below T at u* (Normal
+    laws of a tiny scale do), and F(T) = 0 gives u* = 0, whose quantile 0
+    is in the window.  Laws past the float range may overflow here: a nan
+    refuses the cut, and an inf quantile is a lifetime past the window.
+    """
+    with np.errstate(all="ignore"):
+        c = float(-np.expm1(law.log_sf(mission_time)))
+        cut = c * (1.0 + _CUT_MARGIN)
+        if c < CUT_MAX and law._quantile01(cut) >= mission_time * (1.0 + _TIME_MARGIN):
+            return cut
+    return 1.0
 
 
 def _stream(
@@ -248,6 +295,14 @@ def sample_times(
     its reference law, once for all blocks.  The result is the transposed
     view of ``out``: shape ``(rows, events)``, with every event's column
     contiguous.
+
+    The times are censored at the mission time T for events with a cut
+    (``refs.cuts[i] < 1``, only at d = 1): only the uniforms below the cut
+    are inverted, and every other entry is inf.  Those entries would all
+    have been at least T * (1 + 1e-9), and no gate output below T, nor any
+    weight, depends on an input's value at or past T (see
+    :func:`dftmc.tree.batch_top_times`), so results are bit-identical to
+    inverting every uniform.
     """
     if out.shape[0] != len(refs.refs):
         raise ValueError("buffer height does not match reference model")
@@ -257,8 +312,15 @@ def sample_times(
     # a law whose lifetimes exceed the float range maps its tail to inf,
     # which is the correct lifetime; the overflow on the way is not an error
     with np.errstate(over="ignore"):
-        for i, ref in enumerate(refs.refs):
-            out[i] = ref._quantile01(out[i])
+        for i, (ref, cut) in enumerate(zip(refs.refs, refs.cuts)):
+            row = out[i]
+            if cut < 1.0:
+                inside = np.flatnonzero(row < cut)
+                times = ref._quantile01(row[inside])
+                row.fill(np.inf)
+                row[inside] = times
+            else:
+                out[i] = ref._quantile01(row)
     return out.T
 
 

@@ -303,6 +303,11 @@ def batch_top_times(tree: FaultTree, times: np.ndarray) -> np.ndarray:
     selection (:func:`_kth_smallest`), not a sort.  A gate's output is
     dropped once its last consumer has read it, so only the live ones are
     held.
+
+    The engine may pass times censored at the mission time T: at d = 1 an
+    input at or past T * (1 + 1e-9) can be inf instead of its value.  That
+    leaves every output below T as it was, and every other output at or
+    past T (docs/design-notes.md, "Batch layout", argues it per kind).
     """
     gates = tree.gate_order
     events = tree.basic_events

@@ -8,7 +8,7 @@ import pytest
 
 from dftmc import BasicEvent, FaultTree, Gate, GateKind, RunConfig, estimate_top, parse, to_fault_tree
 from dftmc import engine
-from dftmc.distributions import Exponential, solve_reference
+from dftmc.distributions import Exponential, Normal, ReferenceDistribution, solve_reference
 from dftmc.engine import (
     BATCH,
     DRAW_CHUNK,
@@ -29,7 +29,7 @@ from dftmc.engine import (
 )
 from dftmc.tree import batch_top_times
 from conftest import fixed_d, worker_count
-from treegen import random_tree
+from treegen import ALL_KINDS, ROUNDING_NORMALS, dist_with_failure_probability, one_law_per_family, random_tree
 
 MISSION = 1.0
 
@@ -233,12 +233,28 @@ def _ks_distance(draws, cdf):
     return max(upper, lower)
 
 
-def test_sample_times_match_base_law_at_d_one():
+def test_base_quantile_matches_base_law():
+    # the full law; sample_times at d = 1 inverts only the uniforms that
+    # land inside the mission window
     dist = Exponential(1000.0)
-    tree = single_event_tree(dist)
-    model = build_reference_model(tree, 1.0, MISSION)
-    draws = sample_times(model, block_streams(1234, 0, 100_000), np.empty((1, 100_000)))[:, 0]
-    assert _ks_distance(draws, lambda t: np.asarray(dist.cdf(t))) < 0.01
+    u = np.empty((1, 100_000))
+    for b, gen in enumerate(block_streams(1234, 0, 100_000)):
+        _fill_uniforms(gen, u[:, b * BATCH:(b + 1) * BATCH])
+    assert _ks_distance(dist._quantile01(u[0]), lambda t: np.asarray(dist.cdf(t))) < 0.01
+
+
+def test_sample_times_match_base_law_at_d_one():
+    # at d = 1 the times are censored at T: the in-window draws follow F
+    # conditioned on [0, T), and the share of inf is 1 - F(T)
+    n = 100_000
+    for dist in one_law_per_family(0.1):
+        model = build_reference_model(single_event_tree(dist), 1.0, MISSION)
+        assert model.cuts[0] < 1.0
+        draws = sample_times(model, block_streams(1234, 0, n), np.empty((1, n)))[:, 0]
+        inside = draws[draws < MISSION]
+        f = float(dist.cdf(MISSION))
+        assert _ks_distance(inside, lambda t: np.asarray(dist.cdf(t)) / f) < 2.0 / math.sqrt(len(inside))
+        assert abs(np.count_nonzero(np.isinf(draws)) / n - (1.0 - f)) < 5.0 * math.sqrt(f * (1.0 - f) / n)
 
 
 def test_sample_times_match_reference_law_at_d_two():
@@ -483,6 +499,57 @@ def test_run_batch_weights_equal_all_row_reference(mixed_tree, wide_tree, d):
                 assert (totals.hits, totals.weight_sum, totals.weight_sq_sum) == (0, 0.0, 0.0)
             else:
                 assert 0 < totals.hits < n_cycles and totals.weight_sum > 0.0
+
+
+def _censoring_trees():
+    """Trees whose d = 1 model censors most entries, and trees it must not.
+
+    A wide, or-heavy tree of 64 events with F(T) in [1e-3, 0.2], each with
+    a cut; then, per rounding Normal at its own mission time, a tree that
+    ors that law and a Normal without a cut into 12 events with cuts.
+    """
+    rng = np.random.default_rng(23)
+
+    def small(lo, hi, t):
+        return lambda r: dist_with_failure_probability(r, float(10 ** r.uniform(lo, hi)), t)
+
+    kinds = (GateKind.OR,) * 6 + ALL_KINDS
+    yield random_tree(rng, 64, kinds, small(-3.0, math.log10(0.2), MISSION)), MISSION, 64
+    for law, t in ROUNDING_NORMALS:
+        sub = random_tree(rng, 12, dist_factory=small(-2.0, math.log10(0.2), t))
+        events = (BasicEvent("N", law), BasicEvent("Z", Normal(t, t * 1e-12)))
+        top = Gate("TOP", GateKind.OR, (sub.top, "N", "Z"))
+        yield FaultTree((*sub.nodes, *events, top), "TOP"), t, 12
+
+
+def test_run_batch_at_d_one_equals_full_inversion():
+    # censoring moves no total: with most entries censored, and with events
+    # that must invert their whole row, weighted or not, at any thread count
+    n_cycles = 2 * BATCH + 100
+    for tree, mission, n_cut in _censoring_trees():
+        model = build_reference_model(tree, 1.0, mission)
+        assert sum(cut < 1.0 for cut in model.cuts) == n_cut
+        config = RunConfig(mission_time=mission, seed=4)
+        reference = _reference_totals(tree, model, config, n_cycles, phase=3)
+        counted = BatchTotals(reference.hits, float(reference.hits), float(reference.hits))
+        assert 0 < reference.hits < n_cycles
+        for threads in (1, 2, None):
+            with worker_count(threads):
+                assert run_batch(tree, model, config, n_cycles, phase=3) == reference
+                assert run_batch(tree, model, config, n_cycles, phase=3, weighted=False) == counted
+
+
+def test_censored_rows_are_inverted_by_the_reference_quantile(monkeypatch):
+    # the benchmark times quantiles by wrapping ReferenceDistribution._quantile01,
+    # so the censored path must call it too, once per event, on the kept entries
+    tree, mission, _ = next(_censoring_trees())
+    model = build_reference_model(tree, 1.0, mission)
+    sizes = []
+    inverse = ReferenceDistribution._quantile01
+    monkeypatch.setattr(ReferenceDistribution, "_quantile01", lambda ref, p: sizes.append(len(p)) or inverse(ref, p))
+    times = sample_times(model, block_streams(4, 3, BATCH), np.empty((len(model.refs), BATCH)))
+    assert sizes == [int(np.count_nonzero(np.isfinite(times[:, i]))) for i in range(len(model.refs))]
+    assert sum(sizes) < 0.2 * times.size
 
 
 @pytest.mark.parametrize("which", ["overlap", "mixed"])

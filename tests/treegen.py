@@ -1,4 +1,5 @@
-"""Seeded random generators for trees, samples and documents used by tests."""
+"""Seeded random generators for trees, samples and documents used by tests,
+and the rounding-prone laws that several test files share."""
 
 import math
 
@@ -53,6 +54,29 @@ def dist_with_failure_probability(rng: np.random.Generator, p: float, mission_ti
     z = _ndtri(p)
     mean = t / (1.0 + z / 8.0)
     return Normal(mean, mean / 8.0)
+
+
+# Normal laws, each with the mission time at which its quantile rounds below
+# T at the censoring cut F(T) * (1 + 1e-6): the first two by 1.7e-4
+# relative, through the cancellation in lo + p * (1 - lo); the third, whose
+# sd/mean is 1e-12, cannot resolve the cut at all and lands on T.  Each has
+# F(T) well below engine.CUT_MAX, so only the cut's quantile check refuses it.
+ROUNDING_NORMALS = (
+    (Normal(89.64343937582649, 25.97088417536897), 1.6935075564106228e-10),
+    (Normal(0.1822932797058661, 0.07976044781624927), 2.030320356283255e-13),
+    (Normal(1e-10, 1e-22), 1e-10 * (1.0 - 2e-12)),
+)
+
+
+def one_law_per_family(p: float, mission_time: float = 1.0):
+    """An Exponential, Weibull, LogNormal and Normal law, each with F(T) = p."""
+    laws = {}
+    seed = 0
+    while len(laws) < 4:
+        law = dist_with_failure_probability(np.random.default_rng(seed), p, mission_time)
+        laws.setdefault(type(law), law)
+        seed += 1
+    return [laws[family] for family in (Exponential, Weibull, LogNormal, Normal)]
 
 
 def random_gate_kind(rng, kinds):
