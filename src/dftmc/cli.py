@@ -56,53 +56,34 @@ _NO_HITS_WARNING = "no TOP events observed; run with method auto (importance sam
 _ZERO_WEIGHT_WARNING = "TOP events observed but every hit weight underflowed to 0; p_hat is not an estimate"
 
 
-def format_number(x) -> str:
-    """Full round-trip precision; scientific notation for small magnitudes.
+def _python_number(x):
+    """``json``'s hook for numpy scalars that are not ``float`` subclasses.
 
-    Numpy scalars are written as the Python ``int`` or ``float`` they equal.
+    ``np.int64`` and ``np.float32`` become the Python number they equal;
+    ``np.float64`` never gets here, since ``json`` writes it as a ``float``.
     """
-    if isinstance(x, bool):
-        return "true" if x else "false"
     if isinstance(x, numbers.Integral):
-        return str(int(x))
-    x = float(x)
-    if x != x or math.isinf(x):
-        raise ValueError(f"non-finite number in report: {x!r}")
-    if x == 0.0:
-        return "0.0"
-    if abs(x) >= 1e-3:
-        return repr(x)
-    for precision in range(1, 18):
-        s = f"{x:.{precision}e}"
-        if float(s) == x:
-            return s
-    return f"{x:.17e}"
+        return int(x)
+    if isinstance(x, numbers.Real):
+        return float(x)
+    raise TypeError(f"cannot serialize {type(x).__name__}")
 
 
-def dumps_canonical(obj, indent: int = 0) -> str:
-    """Deterministic JSON with the number formatting above."""
-    pad = "  " * indent
-    inner = "  " * (indent + 1)
-    if obj is None:
-        return "null"
-    if isinstance(obj, str):
-        return json.dumps(obj)
-    if isinstance(obj, numbers.Real):
-        return format_number(obj)
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        parts = [
-            f"{inner}{json.dumps(key)}: {dumps_canonical(value, indent + 1)}"
-            for key, value in obj.items()
-        ]
-        return "{\n" + ",\n".join(parts) + "\n" + pad + "}"
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        parts = [f"{inner}{dumps_canonical(value, indent + 1)}" for value in obj]
-        return "[\n" + ",\n".join(parts) + "\n" + pad + "]"
-    raise TypeError(f"cannot serialize {type(obj).__name__}")
+def format_number(x) -> str:
+    """``x`` as its JSON token: Python's shortest round-trip ``repr``.
+
+    ``json`` writes it, as :func:`dumps_canonical` writes every report
+    number and as ``parser.serialize`` writes ``.dft`` floats, so the text
+    view shows each report number byte for byte.  inf and nan raise
+    ``ValueError``.
+    """
+    return json.dumps(x, allow_nan=False, default=_python_number)
+
+
+def dumps_canonical(obj) -> str:
+    """The report as indented JSON; ``json`` writes each number as its
+    shortest round-trip ``repr``, the token :func:`format_number` gives."""
+    return json.dumps(obj, indent=2, allow_nan=False, default=_python_number)
 
 
 def _trace_rows(trace: SearchTrace | None):
@@ -276,8 +257,11 @@ def cmd_run(args) -> int:
         return EXIT_ENGINE
     wall = time.perf_counter() - started
     report = build_report(args.file, text, tree, config, estimate, wall)
+    # written before either view is printed, so a report that cannot be
+    # written (an inf estimate) leaves stdout empty in both formats
+    rendered = dumps_canonical(report)
     if args.format == "json":
-        print(dumps_canonical(report))
+        print(rendered)
     else:
         _print_text_report(report)
     return EXIT_OK

@@ -200,9 +200,13 @@ class Estimate:
 def build_reference_model(tree: FaultTree, d: float, mission_time: float) -> ReferenceModel:
     """Solve every basic event's reference scale at drop parameter d.
 
-    At d = 1 each event also gets its censoring cut (:func:`_window_cut`).
-    At d >= 2 every G(T) is at least 0.5, far above ``CUT_MAX``, so no cut
-    is computed and every row is inverted whole.
+    Only at d = 1 does each event get its censoring cut (:func:`_window_cut`).
+    Every other d inverts its rows whole, the values between 1 and 2 that
+    the search tries when it bisects included.  Since 1 - G(T) = S_F(T)/d,
+    G(T) >= 1 - 1/d: from d = 2 up that is at least 0.5, far above
+    ``CUT_MAX``, so nothing is lost.  Below d = 4/3 the bound falls under
+    ``CUT_MAX`` and a cut could pay, but no benchmark workload runs such a
+    model.
     """
     names = []
     refs = []

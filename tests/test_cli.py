@@ -1,6 +1,8 @@
 import dataclasses
 import io
 import json
+import math
+import re
 from contextlib import redirect_stderr, redirect_stdout
 from importlib import resources
 
@@ -9,6 +11,7 @@ import numpy as np
 import pytest
 
 from dftmc import BasicEvent, Exponential, FaultTree, Gate, GateKind, RunConfig, estimate_top, parse, to_fault_tree
+from dftmc import cli
 from dftmc.cli import _print_text_report, build_arg_parser, build_report, dumps_canonical, format_number, main
 from dftmc.distributions import solve_reference
 from dftmc.engine import MAX_SEARCH_ITERATIONS
@@ -44,7 +47,9 @@ def schema():
         (2.0, "2.0"),
         (0.001, "0.001"),
         (3.2e-14, "3.2e-14"),
-        (0.0005, "5.0e-04"),
+        # Python's shortest repr: positional from 1e-4 up, one-digit mantissa bare
+        (0.0005, "0.0005"),
+        (1e-14, "1e-14"),
         (42, "42"),
         (True, "true"),
         # numpy scalars are written as the Python numbers they equal
@@ -62,6 +67,14 @@ def test_format_number_round_trips():
     for _ in range(500):
         x = float(rng.standard_normal()) * 10.0 ** int(rng.integers(-20, 20))
         assert float(format_number(x)) == x
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan], ids=["inf", "-inf", "nan"])
+def test_non_finite_numbers_are_refused(value):
+    with pytest.raises(ValueError):
+        format_number(value)
+    with pytest.raises(ValueError):
+        dumps_canonical({"estimate": {"p_hat": value}})
 
 
 def test_dumps_canonical_is_valid_json():
@@ -182,6 +195,31 @@ def test_run_text_and_json_numbers_match(overlap_path):
     assert format_number(est["ci_high"]) in text
     for ev in report["reference"]["events"]:
         assert format_number(ev["v"]) in text
+
+
+def test_run_text_numbers_are_the_json_tokens(tmp_path):
+    # std_err lands in [1e-4, 1e-3), where repr writes positional digits
+    path = write(tmp_path, "one.dft", "dft 1\nmission_time 1\nbe A exp mttf=100\ntop A\n")
+    _, text, _ = run_cli(["run", path, "--cycles", "20000", "--seed", "0"])
+    _, raw, _ = run_cli(["run", path, "--cycles", "20000", "--seed", "0", "--format", "json"])
+    tokens = dict(re.findall(r'^ *"(p_hat|std_err|ci_low|ci_high|confidence|d|v)": ([^,\n]+)', raw, re.M))
+    assert 1e-4 <= float(tokens["std_err"]) < 1e-3
+    assert tokens["std_err"].startswith("0.000")
+    assert f"p_hat    = {tokens['p_hat']}\n" in text
+    assert f"std_err  = {tokens['std_err']}\n" in text
+    assert f"ci({tokens['confidence']}) = [{tokens['ci_low']}, {tokens['ci_high']}]\n" in text
+    assert f"(d = {tokens['d']})\n" in text
+    assert f"v = {tokens['v']}\n" in text
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_run_report_that_cannot_be_written_prints_nothing(overlap_path, monkeypatch, fmt):
+    real = cli.estimate_top
+    monkeypatch.setattr(cli, "estimate_top", lambda tree, config: dataclasses.replace(real(tree, config), p_hat=math.inf))
+    code, out, err = run_cli(["run", str(overlap_path), "--seed", "3", "--cycles", "10000", "--format", fmt])
+    assert code == 3
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
 
 def test_run_direct_zero_hits_warns(overlap_path):
