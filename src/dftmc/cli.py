@@ -7,7 +7,7 @@ Exit codes are stable:
     2  parse error (bad .dft text; also argparse usage errors)
     3  validation error (tree structure, missing mission time, bad knobs)
     4  engine error (reference search or solver failure)
-    5  unsupported tree shape for the requested oracle
+    5  no oracle covers the tree (a dynamic gate, or too many events)
 
 Reports are deterministic for a fixed (file, flags, seed) apart from the
 wall-clock field; every number in the text output matches the JSON output
@@ -270,15 +270,10 @@ def cmd_run(args) -> int:
 def cmd_oracle(args) -> int:
     text, doc, tree = _load_tree(args.file)
     mission_time = _resolve_mission_time(args, doc)
-    if args.family == "pand-overlap":
-        mttfs = match_pand_overlap(tree)
-        if mttfs is None:
-            print(
-                "error: tree does not match the pand-overlap family "
-                "(pand over two 3-wide and gates sharing their middle events, all exponential)",
-                file=sys.stderr,
-            )
-            return EXIT_UNSUPPORTED
+    # the tree's shape picks the oracle; exact_static refuses, with exit 5,
+    # a dynamic gate or more events than it can enumerate
+    mttfs = match_pand_overlap(tree)
+    if mttfs is not None:
         value = smallp_pand_overlap(mission_time, mttfs)
         print("method: small-p closed form (pand-overlap family)")
         print(f"probability = {format_number(value)}")
@@ -318,8 +313,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p_oracle = sub.add_parser("oracle", help="independent reference calculations")
     p_oracle.add_argument("file")
     p_oracle.add_argument("--mission-time", type=float, default=None)
-    p_oracle.add_argument("--family", choices=["pand-overlap"], default=None,
-                          help="use the closed-form family oracle instead of enumeration")
     p_oracle.set_defaults(func=cmd_oracle)
     return top
 

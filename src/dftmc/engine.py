@@ -10,8 +10,9 @@ drop parameter ``d`` for every event.
 There is one sampling-and-weight path, and it works on whole groups of
 blocks: ``sample_times`` draws each block's uniforms from its own stream
 straight into one event-major buffer and turns them into failure times in
-place, and ``log_weights`` turns a matrix of failure times into per-cycle
-log likelihood ratios.  No other code samples or weights cycles.
+place, and ``log_weights`` turns the rows a mask selects from a matrix of
+failure times into per-cycle log likelihood ratios.  No other code samples
+or weights cycles.
 
 At d = 1 the times matrix is censored at the mission time T: an event
 whose F(T) is below ``CUT_MAX`` inverts only the uniforms that can land
@@ -328,25 +329,24 @@ def sample_times(
     return out.T
 
 
-def log_weights(
-    refs: ReferenceModel, times: np.ndarray, mission_time: float, mask: np.ndarray | None = None
-) -> np.ndarray:
-    """Per-row log likelihood ratio of a ``(rows, events)`` times matrix.
+def log_weights(refs: ReferenceModel, times: np.ndarray, mission_time: float, mask: np.ndarray) -> np.ndarray:
+    """Per-row log likelihood ratio of the rows ``mask`` selects from a
+    ``(rows, events)`` times matrix, in order.
 
     Every basic event contributes a factor: the density ratio f(t)/g(t) when
     its time is inside the mission window, the tail-mass ratio
-    (1-F(T))/(1-G(T)) otherwise.  With a boolean ``mask`` only the rows it
-    selects are weighted, in order; each event's column is compressed on
-    its own, so the selected rows are never copied out as a matrix.
+    (1-F(T))/(1-G(T)) otherwise.  Each event's column is compressed by the
+    boolean ``mask`` on its own, so the selected rows are never copied out
+    as a matrix.
     """
     if times.shape[1] != len(refs.refs):
         raise ValueError("times matrix width does not match reference model")
-    logw = np.zeros(times.shape[0] if mask is None else np.count_nonzero(mask))
+    logw = np.zeros(np.count_nonzero(mask))
     # both branches are evaluated; an infinite time gives inf - inf in the
     # density ratio, which the tail branch then replaces
     with np.errstate(invalid="ignore"):
         for i, ref in enumerate(refs.refs):
-            col = times[:, i] if mask is None else times[:, i][mask]
+            col = times[:, i][mask]
             logw += np.where(
                 col < mission_time,
                 ref.log_density_ratio(col),

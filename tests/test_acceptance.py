@@ -135,7 +135,7 @@ def test_criterion_5_weight_identities():
         gen = _stream(int(rng.integers(0, 2**32)), 0, 0)
         rows = min(200, 10_000 - checks)
         times = sample_times(model, [gen], np.empty((len(model.refs), rows)))
-        exact_ones += int(np.count_nonzero(np.exp(log_weights(model, times, MISSION)) == 1.0))
+        exact_ones += int(np.count_nonzero(np.exp(log_weights(model, times, MISSION, np.ones(rows, bool))) == 1.0))
         checks += rows
     # (b) a tail factor always equals the drop parameter
     factories = (

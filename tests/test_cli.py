@@ -359,7 +359,7 @@ def test_run_mission_time_flag_beats_file_value(overlap_path):
 @pytest.mark.parametrize("value", ["inf", "nan", "0", "-1"])
 @pytest.mark.parametrize(
     "command",
-    [["oracle", "static"], ["oracle", "overlap", "--family", "pand-overlap"], ["run", "overlap"]],
+    [["oracle", "static"], ["oracle", "overlap"], ["run", "overlap"]],
     ids=["oracle-exact", "oracle-family", "run"],
 )
 def test_mission_time_flag_must_be_finite_and_positive(tmp_path, overlap_path, command, value):
@@ -511,22 +511,46 @@ def test_oracle_static(tmp_path):
 
 
 def test_oracle_overlap_family(overlap_path):
-    code, out, err = run_cli(["oracle", str(overlap_path), "--family", "pand-overlap"])
+    code, out, err = run_cli(["oracle", str(overlap_path)])
     assert code == 0
+    assert out.splitlines()[0] == "method: small-p closed form (pand-overlap family)"
     value = float(out.splitlines()[-1].split("=")[1])
     assert value == pytest.approx(3.122e-14, rel=1e-3)
 
 
-def test_oracle_dynamic_without_family_flag(overlap_path):
-    code, out, err = run_cli(["oracle", str(overlap_path)])
+@pytest.mark.parametrize(
+    "text",
+    [
+        "dft 1\nmission_time 1\nbe X exp mttf=10\nbe Y exp mttf=20\ngate TOP pand X Y\ntop TOP\n",
+        # the demo with BE1 made Weibull is outside the pand-overlap family
+        "dft 1\nmission_time 1\nbe BE1 weibull scale=1000 shape=1.5\nbe BE2 exp mttf=2000\n"
+        "be BE3 exp mttf=3000\nbe BE4 exp mttf=4000\ngate A and BE1 BE2 BE3\n"
+        "gate B and BE2 BE3 BE4\ngate TOP pand A B\ntop TOP\n",
+    ],
+    ids=["pand2", "weibull-demo"],
+)
+def test_oracle_dynamic_tree_outside_the_family(tmp_path, text):
+    code, out, err = run_cli(["oracle", write(tmp_path, "dyn.dft", text)])
     assert code == 5
-    assert "pand" in err
+    assert out == ""
+    assert err.startswith("error: gate TOP: pand is dynamic")
 
 
-def test_oracle_family_shape_mismatch(tmp_path):
-    path = write(tmp_path, "or2.dft", STATIC_OR2_DFT)
-    code, out, err = run_cli(["oracle", path, "--family", "pand-overlap"])
+def test_oracle_static_tree_too_large_to_enumerate(tmp_path):
+    names = [f"E{i}" for i in range(21)]
+    text = "dft 1\nmission_time 1\n" + "".join(f"be {n} exp mttf=10\n" for n in names)
+    text += f"gate TOP or {' '.join(names)}\ntop TOP\n"
+    code, out, err = run_cli(["oracle", write(tmp_path, "or21.dft", text)])
     assert code == 5
+    assert out == ""
+    assert err.startswith("error: 21 basic events exceeds the enumeration limit")
+
+
+def test_oracle_has_no_family_flag(overlap_path):
+    # the tree's shape picks the oracle
+    with pytest.raises(SystemExit) as info:
+        main(["oracle", str(overlap_path), "--family", "pand-overlap"])
+    assert info.value.code == 2
 
 
 def test_version_flag(capsys):

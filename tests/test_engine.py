@@ -270,7 +270,8 @@ def test_sample_times_match_reference_law_at_d_two():
 
 
 def _weights(model, times):
-    return np.exp(log_weights(model, np.asarray(times, dtype=float), MISSION))
+    times = np.asarray(times, dtype=float)
+    return np.exp(log_weights(model, times, MISSION, np.ones(len(times), bool)))
 
 
 def test_weight_is_exactly_one_at_d_one():
@@ -287,7 +288,8 @@ def test_log_weights_of_masked_rows_equal_those_of_the_selected_matrix(mixed_tre
     mask = batch_top_times(mixed_tree, times) < MISSION
     assert 0 < np.count_nonzero(mask) < 500
     masked = log_weights(model, times, MISSION, mask)
-    assert masked.tobytes() == log_weights(model, times[mask], MISSION).tobytes()
+    selected = times[mask]
+    assert masked.tobytes() == log_weights(model, selected, MISSION, np.ones(len(selected), bool)).tobytes()
 
 
 def test_tail_factor_equals_d():
@@ -324,7 +326,7 @@ def test_weight_factor_value_below_horizon():
 def test_log_weights_rejects_mismatched_width(overlap_tree):
     model = build_reference_model(overlap_tree, 2.0, MISSION)
     with pytest.raises(ValueError):
-        log_weights(model, np.array([[1.0]]), MISSION)
+        log_weights(model, np.array([[1.0]]), MISSION, np.ones(1, bool))
 
 
 def test_run_batch_rejects_model_of_another_tree():
@@ -471,7 +473,7 @@ def _reference_totals(tree, model, config, n_cycles, phase):
             times[:, i] = ref._quantile01(u[:, i])
         indicator = batch_top_times(tree, times) < t
         with np.errstate(over="ignore"):
-            weights = np.exp(log_weights(model, times, t))
+            weights = np.exp(log_weights(model, times, t, np.ones(rows, bool)))
         terms = np.where(indicator, weights, 0.0)
         hits += int(np.count_nonzero(indicator))
         sums.append(float(np.sum(terms)))
@@ -800,9 +802,40 @@ def test_estimates_match_golden_bits(overlap_tree, mixed_tree, static_or2_tree):
 
 # -- quadrature cross-checks on dynamic gates --------------------------------
 #
-# Two-input dynamic gates admit independent quadrature oracles; these runs
-# exercise the full pipeline (search, bisection reference solving, mixed
-# families) on genuinely rare dynamic events.
+# Two-input dynamic gates, and the demo's pand over two and-gates, admit
+# independent quadrature oracles; these runs exercise the full pipeline
+# (search, closed-form reference scales, mixed families) on genuinely rare
+# dynamic events.
+
+
+def test_overlap_demo_matches_quadrature(overlap_tree):
+    from scipy import integrate
+    from dftmc.oracle import smallp_pand_overlap
+
+    mttfs = [be.dist.mttf for be in overlap_tree.basic_events]
+    assert mttfs == [1000.0, 2000.0, 3000.0, 4000.0]
+    u1, *rest = mttfs
+    cdf = lambda t, u: -math.expm1(-t / u)
+    pdf = lambda t, u: math.exp(-t / u) / u
+
+    # TOP = pand(A, B) with A = and(1, 2, 3) and B = and(2, 3, 4) fails before
+    # T exactly when m = max(t2, t3, t4) < T and t1 <= m:
+    # p = int_0^T F1(m) d[F2 F3 F4](m)
+    def integrand(m):
+        c = [cdf(m, u) for u in rest]
+        d = [pdf(m, u) for u in rest]
+        return cdf(m, u1) * (d[0] * c[1] * c[2] + c[0] * d[1] * c[2] + c[0] * c[1] * d[2])
+
+    truth, error = integrate.quad(integrand, 0.0, MISSION, epsabs=0, epsrel=1e-13)
+    assert error < 1e-13 * truth
+    assert truth == pytest.approx(3.121946113985177e-14, rel=1e-12)
+    # the closed form's relative error is of order max p_i
+    smallp = smallp_pand_overlap(MISSION, mttfs)
+    assert abs(smallp - truth) <= 2 * max(cdf(MISSION, u) for u in mttfs) * truth
+    for seed in range(10):
+        est = estimate_top(overlap_tree, RunConfig(mission_time=MISSION, seed=seed))
+        assert est.method == "importance"
+        assert est.ci_low <= truth <= est.ci_high, seed
 
 
 def test_pand_pair_matches_quadrature():
