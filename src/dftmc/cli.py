@@ -20,7 +20,6 @@ import argparse
 import hashlib
 import json
 import math
-import numbers
 import sys
 import time
 from collections import Counter
@@ -56,19 +55,6 @@ _NO_HITS_WARNING = "no TOP events observed; run with method auto (importance sam
 _ZERO_WEIGHT_WARNING = "TOP events observed but every hit weight underflowed to 0; p_hat is not an estimate"
 
 
-def _python_number(x):
-    """``json``'s hook for numpy scalars that are not ``float`` subclasses.
-
-    ``np.int64`` and ``np.float32`` become the Python number they equal;
-    ``np.float64`` never gets here, since ``json`` writes it as a ``float``.
-    """
-    if isinstance(x, numbers.Integral):
-        return int(x)
-    if isinstance(x, numbers.Real):
-        return float(x)
-    raise TypeError(f"cannot serialize {type(x).__name__}")
-
-
 def format_number(x) -> str:
     """``x`` as its JSON token: Python's shortest round-trip ``repr``.
 
@@ -77,13 +63,13 @@ def format_number(x) -> str:
     view shows each report number byte for byte.  inf and nan raise
     ``ValueError``.
     """
-    return json.dumps(x, allow_nan=False, default=_python_number)
+    return json.dumps(x, allow_nan=False)
 
 
 def dumps_canonical(obj) -> str:
     """The report as indented JSON; ``json`` writes each number as its
     shortest round-trip ``repr``, the token :func:`format_number` gives."""
-    return json.dumps(obj, indent=2, allow_nan=False, default=_python_number)
+    return json.dumps(obj, indent=2, allow_nan=False)
 
 
 def _trace_rows(trace: SearchTrace | None):
@@ -225,7 +211,7 @@ def _load_tree(path):
 
 
 def _resolve_mission_time(args, doc) -> float:
-    if getattr(args, "mission_time", None) is not None:
+    if args.mission_time is not None:
         return _check_positive(args.mission_time, "mission time")
     if doc.mission_time is not None:
         return doc.mission_time

@@ -14,11 +14,10 @@ place, and ``log_weights`` turns the rows a mask selects from a matrix of
 failure times into per-cycle log likelihood ratios.  No other code samples
 or weights cycles.
 
-At d = 1 the times matrix is censored at the mission time T: an event
-whose F(T) is below ``CUT_MAX`` inverts only the uniforms that can land
-inside the window, and its other lifetimes are inf.  No gate output below
-T, and no weight, depends on the value of a time at or past T, so every
-result is the same bit for bit as with every uniform inverted.
+At d = 1 the times matrix is censored at the mission time T, which
+samples the mixed law the weights are built from as it stands: an event
+whose F(T) is below ``CUT_MAX`` is in the window exactly when its uniform
+is below F(T), and then its time is F^-1(u); otherwise it is inf.
 
 All reference laws hang off a single knob ``d``; a preliminary search picks
 ``d`` so that the hit count over a small pilot run lands inside a target
@@ -93,11 +92,8 @@ MAX_SEARCH_ITERATIONS = 30
 
 # Censored inversion at d = 1 (:func:`_window_cut`).  Above CUT_MAX,
 # inverting the whole row is as fast (per-family crossovers in
-# docs/design-notes.md, "Batch layout").  _TIME_MARGIN clears the few ulps
-# a spare's (1 - a) * z1 + z2 can round below z1.
+# docs/design-notes.md, "Batch layout").
 CUT_MAX = 0.25
-_CUT_MARGIN = 1e-6
-_TIME_MARGIN = 1e-9
 
 
 class SearchError(RuntimeError):
@@ -150,8 +146,9 @@ class RunConfig:
 class ReferenceModel:
     """Per-event reference laws tied together by the common drop parameter d.
 
-    ``cuts[i]`` is the uniform at and above which event i's lifetimes are
-    censored to inf by :func:`sample_times`; 1.0 inverts every uniform.
+    ``cuts[i]`` is event i's F(T) at d = 1: the uniform at and above which
+    :func:`sample_times` censors its lifetimes to inf.  1.0 inverts every
+    uniform.
     """
 
     d: float
@@ -226,22 +223,14 @@ def build_reference_model(tree: FaultTree, d: float, mission_time: float) -> Ref
 
 
 def _window_cut(law, mission_time: float) -> float:
-    """The uniform at and above which ``law``'s lifetimes lie past the window.
+    """``law``'s F(T) = -expm1(log S(T)) when it is below ``CUT_MAX``, else 1.0.
 
-    That is u* = c * (1 + 1e-6), with c = F(T) = -expm1(log S(T)), when c
-    is below ``CUT_MAX`` and the quantile of u* is at least T * (1 + 1e-9);
-    otherwise 1.0, which inverts every uniform.  The check, not the margin,
-    makes the cut safe: a rounding quantile can land below T at u* (Normal
-    laws of a tiny scale do), and F(T) = 0 gives u* = 0, whose quantile 0
-    is in the window.  Laws past the float range may overflow here: a nan
-    refuses the cut, and an inf quantile is a lifetime past the window.
+    Laws past the float range may overflow on the way; a nan F(T) falls to
+    1.0, which inverts every uniform.
     """
     with np.errstate(all="ignore"):
         c = float(-np.expm1(law.log_sf(mission_time)))
-        cut = c * (1.0 + _CUT_MARGIN)
-        if c < CUT_MAX and law._quantile01(cut) >= mission_time * (1.0 + _TIME_MARGIN):
-            return cut
-    return 1.0
+    return c if c < CUT_MAX else 1.0
 
 
 def _stream(
@@ -303,11 +292,8 @@ def sample_times(
 
     The times are censored at the mission time T for events with a cut
     (``refs.cuts[i] < 1``, only at d = 1): only the uniforms below the cut
-    are inverted, and every other entry is inf.  Those entries would all
-    have been at least T * (1 + 1e-9), and no gate output below T, nor any
-    weight, depends on an input's value at or past T (see
-    :func:`dftmc.tree.batch_top_times`), so results are bit-identical to
-    inverting every uniform.
+    F(T) are inverted, and every other entry is inf, the lumped tail mass
+    past the window.
     """
     if out.shape[0] != len(refs.refs):
         raise ValueError("buffer height does not match reference model")

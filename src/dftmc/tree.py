@@ -305,9 +305,10 @@ def batch_top_times(tree: FaultTree, times: np.ndarray) -> np.ndarray:
     held.
 
     The engine may pass times censored at the mission time T: at d = 1 an
-    input at or past T * (1 + 1e-9) can be inf instead of its value.  That
-    leaves every output below T as it was, and every other output at or
-    past T (docs/design-notes.md, "Batch layout", argues it per kind).
+    input whose lifetime lies past T is inf.  Up to rounding at the window
+    edge, that leaves every output below T as it was, and every other
+    output at or past T (docs/design-notes.md, "Batch layout", argues it
+    per kind).
     """
     gates = tree.gate_order
     events = tree.basic_events

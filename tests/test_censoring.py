@@ -1,11 +1,12 @@
-"""Censored inversion at d = 1 moves no result.
+"""Censored inversion at d = 1 samples the mixed law as it stands.
 
-``sample_times`` writes inf for every uniform at or above an event's cut
-u*, whose quantile is at least T * (1 + eta).  Two facts make that safe:
-below T, no gate output depends on the value of an input that is at or
-past T * (1 + eta), and every uniform from u* up maps to at least
-T * (1 + eta).  The first is a property of ``batch_top_times``, the
-second of each family's quantile and of the check that keeps a cut.
+An event whose F(T) is below ``CUT_MAX`` is in the window exactly when its
+uniform is below F(T), its cut; its time is then F^-1(u), and otherwise
+inf.  Below T, no gate output depends on where past T an input lies, so in
+exact arithmetic that is full inversion.  In floats the two may differ in
+ulp-wide slivers at the window edge, which the contract accepts: the
+quantile of a uniform near F(T) can round to the other side of T, and a
+spare's sum can round a few ulps below an input at T.
 """
 
 import dataclasses
@@ -17,12 +18,16 @@ from hypothesis import strategies as st
 
 from dftmc import BasicEvent, FaultTree, Gate, GateKind
 from dftmc.distributions import Exponential, LogNormal, Normal, Weibull
-from dftmc.engine import CUT_MAX, _TIME_MARGIN, _window_cut
+from dftmc.engine import CUT_MAX, _window_cut, build_reference_model, sample_times
 from dftmc.tree import batch_top_times
 from treegen import ROUNDING_NORMALS, dist_with_failure_probability, random_dist, random_tree
 
 # reproducible, and no example database is written
 PROPERTY = settings(derandomize=True, database=None, deadline=None)
+
+# Inputs at or past T * (1 + MARGIN) stay clear of the ulp-wide edge at T,
+# where censoring and full inversion may part (see the spare test below).
+MARGIN = 1e-9
 
 # The laws of the float-range tests of the CLI, with their mission times:
 # each exits 4, overflows to inf lifetimes, or has a median past the range.
@@ -71,13 +76,13 @@ def trees(draw):
 @settings(PROPERTY, max_examples=400)
 @given(tree=trees(), mission_time=st.floats(1e-12, 1e12), data=st.data())
 def test_censoring_inputs_past_the_margin_commutes_with_the_tree(tree, mission_time, data):
-    # the engine censors some of the inputs at or above T * (1 + eta), each
-    # independently; the outputs below T must not move by a bit.  Both sides
-    # are censored at T: a seq's in-window terms can sum past T, so its raw
+    # censoring some of the inputs at or above T * (1 + MARGIN), each
+    # independently, moves no output below T by a bit.  Both sides are
+    # censored at T: a seq's in-window terms can sum past T, so its raw
     # output is not the censored one.
     # a * t as a spare's z2 with z1 = t gives (1 - a) * t + a * t, which
-    # can round a few ulps below t: why censored inputs sit past T * (1 + eta)
-    t, cut = mission_time, mission_time * (1.0 + _TIME_MARGIN)
+    # can round a few ulps below t: the edge this margin stays clear of
+    t, cut = mission_time, mission_time * (1.0 + MARGIN)
     spares = [g.dormancy * t for g in tree.gates if g.kind is GateKind.SPARE]
     values = st.one_of(
         st.sampled_from([0.0, math.inf, t / 2.0, t / 3.0, *spares, *ulps_around(t), *ulps_around(cut)]),
@@ -94,9 +99,9 @@ def test_censoring_inputs_past_the_margin_commutes_with_the_tree(tree, mission_t
 
 
 def test_spare_sum_can_round_below_its_first_input():
-    # why censoring starts at T * (1 + eta) and not at T: with z1 = T and
-    # z2 = a * T a spare's (1 - a) * T + a * T rounds below T, so censoring
-    # z1 = T to inf would move the output out of the window
+    # the ulp-wide edge the contract accepts: with z1 = T and z2 = a * T a
+    # spare's (1 - a) * T + a * T rounds below T, so censoring z1 = T to
+    # inf moves the output out of the window
     t, a = 3.0, 0.3
     events = (BasicEvent("X", Exponential(1.0)), BasicEvent("Y", Exponential(1.0)))
     tree = FaultTree((*events, Gate("S", GateKind.SPARE, ("X", "Y"), dormancy=a)), "S")
@@ -131,11 +136,25 @@ def failure_probability(law, t):
 
 
 def probe_uniforms(c, data):
-    """Uniforms in [0, 1): random ones, and the ulps around c = F(T) and
-    around the cut c * (1 + 1e-6)."""
+    """Uniforms in [0, 1): random ones, and the ulps around c = F(T)."""
     u = data.draw(st.lists(st.floats(0.0, 1.0, exclude_max=True), max_size=50))
-    around = [p for x in (c, c * (1.0 + 1e-6)) for p in ulps_around(x)]
-    return np.array([p for p in [0.0, 1.0 - 2.0**-53, *u, *around] if 0.0 <= p < 1.0])
+    return np.array([p for p in [0.0, 1.0 - 2.0**-53, *u, *ulps_around(c)] if 0.0 <= p < 1.0])
+
+
+class _Uniforms:
+    """A stand-in generator whose ``random`` returns the given uniforms."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self, shape):
+        return self.u.reshape(shape)
+
+
+def sampled(law, t, u):
+    """``sample_times`` of a one-event d = 1 model fed the uniforms ``u``."""
+    model = build_reference_model(FaultTree((BasicEvent("X", law),), "X"), 1.0, t)
+    return model.cuts[0], sample_times(model, [_Uniforms(u)], np.empty((1, len(u))))[:, 0]
 
 
 @settings(PROPERTY, max_examples=300)
@@ -149,37 +168,36 @@ def test_quantile_is_non_decreasing(law_t, data):
 
 
 @settings(PROPERTY, max_examples=300)
-@given(law_t=laws(), data=st.data())
-def test_kept_cut_maps_every_uniform_above_it_past_the_margin(law_t, data):
+@given(law_t=st.one_of(laws(), st.sampled_from(ROUNDING_NORMALS)), data=st.data())
+def test_sample_times_at_d_one_is_full_inversion_censored_at_the_cut(law_t, data):
     law, t = law_t
-    cut = _window_cut(law, t)
-    if cut < 1.0:
-        u = probe_uniforms(failure_probability(law, t), data)
-        with np.errstate(over="ignore"):
-            q = law._quantile01(u[u >= cut])
-        assert np.all(q >= t * (1.0 + _TIME_MARGIN))
+    u = probe_uniforms(failure_probability(law, t), data)
+    cut, times = sampled(law, t, u)
+    assert cut == _window_cut(law, t)
+    with np.errstate(over="ignore"):
+        expected = np.where(u < cut, law._quantile01(u), np.inf)
+    assert times.tobytes() == expected.tobytes()
 
 
-def test_rounding_normals_invert_their_whole_row():
+def test_rounding_normals_are_censored_at_their_failure_probability():
     for law, t in ROUNDING_NORMALS:
-        c = float(law.cdf(t))
-        assert 0.0 < c < CUT_MAX  # only the quantile check can refuse the cut
-        assert law._quantile01(c * (1.0 + 1e-6)) < t * (1.0 + _TIME_MARGIN)
-        assert _window_cut(law, t) == 1.0
+        c = failure_probability(law, t)
+        assert 0.0 < c < CUT_MAX
+        assert _window_cut(law, t) == c
 
 
-def test_failure_probability_that_underflows_keeps_every_uniform():
-    # F(T) rounds to 0, so the cut would be 0 and censor u = 0, whose
-    # lifetime 0 is inside the window
+def test_failure_probability_that_underflows_censors_every_uniform():
+    # F(T) rounds to 0, so no uniform, not even u = 0, is in the window;
+    # the true F(T) is below 1e-300
     for law, t in ((Weibull(1.0, 400.0), 1e-3), (Exponential(1e300), 1e-300)):
         assert failure_probability(law, t) == 0.0
-        assert law._quantile01(0.0) < t
-        assert _window_cut(law, t) == 1.0
+        cut, times = sampled(law, t, np.array([0.0, 2.0**-53, 0.5]))
+        assert cut == 0.0
+        assert np.all(np.isinf(times))
 
 
 def test_cut_of_extreme_laws_does_not_warn():
     # the suite turns any RuntimeWarning into an error
     for law, t in EXTREME_LAWS:
         cut = _window_cut(law, t)
-        with np.errstate(over="ignore"):
-            assert cut == 1.0 or law._quantile01(cut) >= t * (1.0 + _TIME_MARGIN)
+        assert cut == 1.0 or cut == failure_probability(law, t)

@@ -1,6 +1,7 @@
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import integrate
@@ -87,6 +88,40 @@ def test_normal_with_tiny_sd_ratio_is_silent_and_refuses_to_scale():
     # at d = 2 the scale stays in range but the scaled sd would underflow
     with pytest.raises(ReferenceSolverError, match="outside the float range"):
         solve_reference(n, 2.0, 10.0)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="Normal loses a tiny p's digits near the truncation point: cdf and log_sf subtract "
+    "lo = ndtr(-mean/sd) from about as much, and _quantile01 forms lo + p * (1 - lo) and then "
+    "mean + sd * z with z close to -mean/sd",
+)
+def test_normal_keeps_the_digits_of_a_tiny_failure_probability():
+    # a law from tests/treegen.ROUNDING_NORMALS, with F(T) about 6.7e-15;
+    # the references are the truncated Normal's CDF and its root-found
+    # quantile at 60 digits
+    law, t = Normal(89.64343937582649, 25.97088417536897), 1.6935075564106228e-10
+    with mpmath.workdps(60):
+        mean, sd = mpmath.mpf(law.mean), mpmath.mpf(law.sd)
+        lo = mpmath.ncdf(-mean / sd)
+
+        def cdf(x):
+            return (mpmath.ncdf((x - mean) / sd) - lo) / (1 - lo)
+
+        def quantile(u):
+            u = mpmath.mpf(u)
+            return mpmath.findroot(lambda x: (cdf(x) - u) / u, t * u / cdf(mpmath.mpf(t)))
+
+        c = float(-np.expm1(law.log_sf(t)))
+        exact_c = cdf(mpmath.mpf(t))
+        pairs = [
+            (float(law.cdf(t)), exact_c),
+            (c, exact_c),
+            *((float(law._quantile01(u)), quantile(u)) for u in (1e-15, c)),
+        ]
+        errors = [float(abs(got - exact) / exact) for got, exact in pairs]
+    assert max(errors) <= 1e-9, errors
 
 
 @pytest.mark.parametrize("dist", FAMILIES, ids=lambda d: repr(d))

@@ -456,12 +456,14 @@ def test_run_batch_working_set_of_a_small_tree_is_one_group_buffer_per_worker(ov
         assert totals.hits > 0
 
 
-def _reference_totals(tree, model, config, n_cycles, phase):
+def _reference_totals(tree, model, config, n_cycles, phase, censored=False):
     """Totals the way the engine defines them, with no shortcut.
 
     Times are inverted column by column into a row-major matrix, every
     row is weighted, misses are zeroed with ``np.where``, and the block
-    sums are merged with ``np.sum`` and ``math.fsum``.
+    sums are merged with ``np.sum`` and ``math.fsum``.  ``censored`` sets
+    each time whose uniform is at or above its event's cut to inf after
+    inverting it.
     """
     t = config.mission_time
     hits, sums, sq_sums = 0, [], []
@@ -469,8 +471,10 @@ def _reference_totals(tree, model, config, n_cycles, phase):
         rows = min(BATCH, n_cycles - b * BATCH)
         u = _stream(config.seed, phase, b).random((rows, len(model.refs)))
         times = np.empty_like(u)
-        for i, ref in enumerate(model.refs):
+        for i, (ref, cut) in enumerate(zip(model.refs, model.cuts)):
             times[:, i] = ref._quantile01(u[:, i])
+            if censored:
+                times[u[:, i] >= cut, i] = np.inf
         indicator = batch_top_times(tree, times) < t
         with np.errstate(over="ignore"):
             weights = np.exp(log_weights(model, times, t, np.ones(rows, bool)))
@@ -504,11 +508,12 @@ def test_run_batch_weights_equal_all_row_reference(mixed_tree, wide_tree, d):
 
 
 def _censoring_trees():
-    """Trees whose d = 1 model censors most entries, and trees it must not.
+    """Trees whose d = 1 model censors most entries, with their cut counts.
 
     A wide, or-heavy tree of 64 events with F(T) in [1e-3, 0.2], each with
     a cut; then, per rounding Normal at its own mission time, a tree that
-    ors that law and a Normal without a cut into 12 events with cuts.
+    ors that law (cut at its F(T) like any other) and a Normal without a
+    cut into 12 events with cuts.
     """
     rng = np.random.default_rng(23)
 
@@ -521,18 +526,21 @@ def _censoring_trees():
         sub = random_tree(rng, 12, dist_factory=small(-2.0, math.log10(0.2), t))
         events = (BasicEvent("N", law), BasicEvent("Z", Normal(t, t * 1e-12)))
         top = Gate("TOP", GateKind.OR, (sub.top, "N", "Z"))
-        yield FaultTree((*sub.nodes, *events, top), "TOP"), t, 12
+        yield FaultTree((*sub.nodes, *events, top), "TOP"), t, 13
 
 
 def test_run_batch_at_d_one_equals_full_inversion():
-    # censoring moves no total: with most entries censored, and with events
-    # that must invert their whole row, weighted or not, at any thread count
+    # run_batch is full inversion with every entry whose uniform is at or
+    # above its cut set to inf: with most entries censored, and with the
+    # rounding Normals, weighted or not, at any thread count.  On these
+    # trees at this seed that is also plain full inversion.
     n_cycles = 2 * BATCH + 100
     for tree, mission, n_cut in _censoring_trees():
         model = build_reference_model(tree, 1.0, mission)
         assert sum(cut < 1.0 for cut in model.cuts) == n_cut
         config = RunConfig(mission_time=mission, seed=4)
-        reference = _reference_totals(tree, model, config, n_cycles, phase=3)
+        reference = _reference_totals(tree, model, config, n_cycles, phase=3, censored=True)
+        assert reference == _reference_totals(tree, model, config, n_cycles, phase=3)
         counted = BatchTotals(reference.hits, float(reference.hits), float(reference.hits))
         assert 0 < reference.hits < n_cycles
         for threads in (1, 2, None):

@@ -56,11 +56,11 @@ def dist_with_failure_probability(rng: np.random.Generator, p: float, mission_ti
     return Normal(mean, mean / 8.0)
 
 
-# Normal laws, each with the mission time at which its quantile rounds below
-# T at the censoring cut F(T) * (1 + 1e-6): the first two by 1.7e-4
-# relative, through the cancellation in lo + p * (1 - lo); the third, whose
-# sd/mean is 1e-12, cannot resolve the cut at all and lands on T.  Each has
-# F(T) well below engine.CUT_MAX, so only the cut's quantile check refuses it.
+# Normal laws, each with a mission time at which its quantile of F(T) does
+# not land past T: the first two land 1.7e-4 and 1.4e-4 relative below it,
+# through the cancellation in lo + p * (1 - lo); the third, whose sd/mean is
+# 1e-12, lands on T.  Each has F(T) well below engine.CUT_MAX, so a d = 1
+# model censors it at F(T) like any other law.
 ROUNDING_NORMALS = (
     (Normal(89.64343937582649, 25.97088417536897), 1.6935075564106228e-10),
     (Normal(0.1822932797058661, 0.07976044781624927), 2.030320356283255e-13),
