@@ -31,7 +31,8 @@ import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import log_ndtr, ndtr, ndtri, ndtri_exp
+
+from . import _special
 
 __all__ = [
     "Exponential",
@@ -218,18 +219,18 @@ class LogNormal(Lifetime):
     def cdf(self, t):
         t = np.asarray(t, dtype=float)
         safe = np.where(t > 0.0, t, 1.0)
-        out = ndtr((np.log(safe) - self.mu) / self.sigma)
+        out = _special.ndtr((np.log(safe) - self.mu) / self.sigma)
         return np.where(t > 0.0, out, 0.0)
 
     def log_sf(self, t):
         t = np.asarray(t, dtype=float)
         safe = np.where(t > 0.0, t, 1.0)
-        out = log_ndtr(-(np.log(safe) - self.mu) / self.sigma)
+        out = _special.log_ndtr(-(np.log(safe) - self.mu) / self.sigma)
         return np.where(t > 0.0, out, 0.0)
 
     def _quantile01(self, p):
         with np.errstate(divide="ignore"):
-            return np.exp(self.mu + self.sigma * ndtri(np.asarray(p)))
+            return np.exp(self.mu + self.sigma * _special.ndtri(np.asarray(p)))
 
     def log_density_ratio(self, other: "LogNormal", t):
         if other.sigma != self.sigma:
@@ -271,7 +272,7 @@ class Normal(Lifetime):
 
     @property
     def _mass_below_zero(self) -> float:
-        return float(ndtr(-self.mean / self.sd))
+        return float(_special.ndtr(-self.mean / self.sd))
 
     def _z(self, t):
         # a tiny sd/mean ratio overflows z to +-inf, which is the right limit
@@ -287,16 +288,16 @@ class Normal(Lifetime):
     def cdf(self, t):
         t = np.asarray(t, dtype=float)
         lo = self._mass_below_zero
-        out = (ndtr(self._z(t)) - lo) / (1.0 - lo)
+        out = (_special.ndtr(self._z(t)) - lo) / (1.0 - lo)
         return np.clip(np.where(t >= 0.0, out, 0.0), 0.0, 1.0)
 
     def log_sf(self, t):
         t = np.asarray(t, dtype=float)
-        return log_ndtr(-self._z(t)) - math.log1p(-self._mass_below_zero)
+        return _special.log_ndtr(-self._z(t)) - math.log1p(-self._mass_below_zero)
 
     def _quantile01(self, p):
         lo = self._mass_below_zero
-        q = self.mean + self.sd * ndtri(lo + np.asarray(p, dtype=float) * (1.0 - lo))
+        q = self.mean + self.sd * _special.ndtri(lo + np.asarray(p, dtype=float) * (1.0 - lo))
         return np.maximum(q, 0.0)
 
     def log_density_ratio(self, other: "Normal", t):
@@ -366,10 +367,10 @@ def solve_reference(dist: Lifetime, d: float, mission_time: float) -> float:
             v = mission_time / ((mission_time / dist.scale_param) ** b + log_d) ** (1.0 / b)
         elif isinstance(dist, LogNormal):
             target = float(dist.log_sf(mission_time)) - log_d
-            v = math.exp(math.log(mission_time) + dist.sigma * float(ndtri_exp(target)))
+            v = math.exp(math.log(mission_time) + dist.sigma * float(_special.ndtri_exp(target)))
         else:
             target = float(dist.log_sf(mission_time)) - log_d
-            cx = (dist.sd / dist.mean) * float(ndtri_exp(target + math.log1p(-dist._mass_below_zero)))
+            cx = (dist.sd / dist.mean) * float(_special.ndtri_exp(target + math.log1p(-dist._mass_below_zero)))
             if not cx < 1.0:
                 raise ReferenceSolverError(
                     f"no reference scale matches a survival drop of {d!r} at mission time {mission_time!r}"

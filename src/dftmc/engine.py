@@ -26,13 +26,14 @@ log d.  At d = 1 the reference laws are the base laws and every weight is
 exactly 1, so direct simulation is the d = 1 run without weights: one final
 run serves both methods, and ``model.d`` alone decides whether it weights.
 
-Reproducibility contract: cycle j draws its randomness from a counter-based
-(Philox) substream determined by (seed, phase, j // BATCH), and per-block
-partial sums are merged in fixed block order, so results are bit-identical
-for any thread count and any grouping of blocks.  A group is as many
-consecutive blocks as fit in ``GROUP_FLOATS`` floats (at least one); it is
-the unit of work of a worker, which reuses one group buffer and one
-generator, so a run holds at most one of each per worker.
+Reproducibility contract: cycle j draws its uniforms from the stream of
+its block b = j // BATCH, which is the PCG64DXSM generator that
+``SeedSequence([seed, phase])`` seeds, jumped ahead by b << 64 steps, and
+per-block partial sums are merged in fixed block order, so results are
+bit-identical for any thread count and any grouping of blocks.  A group
+is as many consecutive blocks as fit in ``GROUP_FLOATS`` floats (at least
+one); it is the unit of work of a worker, which reuses one group buffer
+and one generator, so a run holds at most one of each per worker.
 """
 
 from __future__ import annotations
@@ -46,8 +47,8 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import ndtri
 
+from . import _special
 from .distributions import ReferenceDistribution, ReferenceSolverError, scale, solve_reference
 from .distributions import _check_positive
 from .tree import FaultTree, batch_top_times
@@ -68,7 +69,7 @@ __all__ = [
     "estimate_top",
 ]
 
-# Cycles per random substream block.  Fixed: results must not depend on the
+# Cycles per random stream block.  Fixed: results must not depend on the
 # number of worker threads, only on (seed, phase, cycle index).
 BATCH = 4096
 
@@ -233,30 +234,30 @@ def _window_cut(law, mission_time: float) -> float:
     return c if c < CUT_MAX else 1.0
 
 
-def _stream(
-    seed: int, phase: int, batch_index: int, gen: np.random.Generator | None = None
-) -> np.random.Generator:
-    """Block ``batch_index``'s generator: Philox keyed by ``(seed, phase)``
-    with its counter at ``batch_index << 128``.
+def _stream_base(seed: int, phase: int) -> dict:
+    """The state of block 0's generator: PCG64DXSM seeded by
+    ``SeedSequence([seed, phase])``.  Every other block of the run is this
+    state advanced (:func:`_stream`), so a run hashes its seed once.
+    """
+    return np.random.PCG64DXSM(np.random.SeedSequence([seed, phase])).state
 
-    With ``gen``, a Philox generator, that state is set in place and ``gen``
-    is returned.  This draws exactly what a new ``Philox(key=..., counter=...)``
-    would, whatever ``gen`` drew before, at a quarter of the cost: the
-    constructor also seeds a ``SeedSequence`` from OS entropy.
+
+def _stream(
+    base: dict, batch_index: int, gen: np.random.Generator | None = None
+) -> np.random.Generator:
+    """Block ``batch_index``'s generator: the PCG64DXSM state ``base``
+    advanced by ``batch_index << 64`` steps.
+
+    With ``gen``, a PCG64DXSM generator, that state is set in place and
+    ``gen`` is returned.  Setting the state also clears the spare 32-bit
+    half a 32-bit draw may have left, so this draws exactly what a new
+    generator would, whatever ``gen`` drew before.  Blocks are 2**64
+    draws apart, far more than a block reads.
     """
     if gen is None:
-        gen = np.random.Generator(np.random.Philox(0))
-    gen.bit_generator.state = {
-        "bit_generator": "Philox",
-        "state": {
-            "counter": np.array([0, 0, batch_index & _MASK64, batch_index >> 64], dtype=np.uint64),
-            "key": np.array([seed, phase], dtype=np.uint64),
-        },
-        "buffer": np.zeros(4, dtype=np.uint64),
-        "buffer_pos": 4,  # empty: the first draw runs the counter
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
+        gen = np.random.Generator(np.random.PCG64DXSM(0))
+    gen.bit_generator.state = base
+    gen.bit_generator.advance(batch_index << 64)
     return gen
 
 
@@ -284,11 +285,10 @@ def sample_times(
     yields one generator per ``BATCH`` columns of it, in order (the last
     block may be short).  Each block's columns are filled with uniforms
     from its own generator by :func:`_fill_uniforms`, so each cycle
-    consumes exactly one uniform per event, which keeps the counter-based
-    substreams aligned.  Event i's row is then inverted in place through
-    its reference law, once for all blocks.  The result is the transposed
-    view of ``out``: shape ``(rows, events)``, with every event's column
-    contiguous.
+    consumes exactly one uniform per event.  Event i's row is then
+    inverted in place through its reference law, once for all blocks.
+    The result is the transposed view of ``out``: shape ``(rows,
+    events)``, with every event's column contiguous.
 
     The times are censored at the mission time T for events with a cut
     (``refs.cuts[i] < 1``, only at d = 1): only the uniforms below the cut
@@ -405,8 +405,8 @@ def run_batch(
 ) -> BatchTotals:
     """Simulate ``n_cycles`` cycles and accumulate hit and weight totals.
 
-    Cycles are split into blocks of ``BATCH``, each an independent
-    substream with its own partial sums, and consecutive blocks into
+    Cycles are split into blocks of ``BATCH``, each with its own stream
+    (:func:`_stream`) and its own partial sums, and consecutive blocks into
     groups of :func:`_group_blocks`, each one kernel call.  The block sums
     are merged in block order, which makes the totals independent of the
     grouping and of the thread count, which :func:`_worker_count` picks
@@ -424,9 +424,10 @@ def run_batch(
     group_cycles = per_group * BATCH
     n_groups = (n_cycles + group_cycles - 1) // group_cycles
     workers = _worker_count(n_groups)
+    base = _stream_base(config.seed, phase)
     kits: queue.SimpleQueue = queue.SimpleQueue()
     for _ in range(workers):
-        kits.put((np.empty((n_events, min(group_cycles, n_cycles))), _stream(config.seed, phase, 0)))
+        kits.put((np.empty((n_events, min(group_cycles, n_cycles))), _stream(base, 0)))
 
     def work(g):
         rows = min(group_cycles, n_cycles - g * group_cycles)
@@ -434,7 +435,7 @@ def run_batch(
         buf, gen = kits.get()
         try:
             streams = (
-                _stream(config.seed, phase, b, gen)
+                _stream(base, b, gen)
                 for b in range(first, first + (rows + BATCH - 1) // BATCH)
             )
             return _compute_group(tree, refs, config.mission_time, weighted, streams, buf[:, :rows])
@@ -496,7 +497,7 @@ def select_reference(tree: FaultTree, config: RunConfig) -> tuple[ReferenceModel
 
 
 def _z_quantile(confidence: float) -> float:
-    return float(ndtri(0.5 + confidence / 2.0))
+    return float(_special.ndtri(0.5 + confidence / 2.0))
 
 
 def estimate_top(tree: FaultTree, config: RunConfig) -> Estimate:

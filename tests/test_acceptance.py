@@ -23,7 +23,7 @@ import pytest
 from dftmc import GateKind, RunConfig, estimate_top, eval_gate
 from dftmc.cli import dumps_canonical, main
 from dftmc.distributions import Exponential, LogNormal, Normal, Weibull, scale, solve_reference, solve_reference_bisect
-from dftmc.engine import build_reference_model, log_weights, sample_times, _stream
+from dftmc.engine import build_reference_model, log_weights, sample_times, _stream, _stream_base
 from dftmc.oracle import exact_static, smallp_pand_overlap
 from dftmc.tree import top_time
 from conftest import worker_count
@@ -132,7 +132,7 @@ def test_criterion_5_weight_identities():
     while checks < 10_000:
         tree = random_tree(rng, int(rng.integers(2, 6)))
         model = build_reference_model(tree, 1.0, MISSION)
-        gen = _stream(int(rng.integers(0, 2**32)), 0, 0)
+        gen = _stream(_stream_base(int(rng.integers(0, 2**32)), 0), 0)
         rows = min(200, 10_000 - checks)
         times = sample_times(model, [gen], np.empty((len(model.refs), rows)))
         exact_ones += int(np.count_nonzero(np.exp(log_weights(model, times, MISSION, np.ones(rows, bool))) == 1.0))

@@ -220,10 +220,11 @@ def test_run_text_and_json_numbers_match(overlap_path):
 
 
 def test_run_text_numbers_are_the_json_tokens(tmp_path):
+    # at seed 3 the d = 1 pilot is below the band, so the run weights, and
     # std_err lands in [1e-4, 1e-3), where repr writes positional digits
     path = write(tmp_path, "one.dft", "dft 1\nmission_time 1\nbe A exp mttf=100\ntop A\n")
-    _, text, _ = run_cli(["run", path, "--cycles", "20000", "--seed", "0"])
-    _, raw, _ = run_cli(["run", path, "--cycles", "20000", "--seed", "0", "--format", "json"])
+    _, text, _ = run_cli(["run", path, "--cycles", "20000", "--seed", "3"])
+    _, raw, _ = run_cli(["run", path, "--cycles", "20000", "--seed", "3", "--format", "json"])
     tokens = dict(re.findall(r'^ *"(p_hat|std_err|ci_low|ci_high|confidence|d|v)": ([^,\n]+)', raw, re.M))
     assert 1e-4 <= float(tokens["std_err"]) < 1e-3
     assert tokens["std_err"].startswith("0.000")
@@ -300,7 +301,7 @@ def test_text_search_table_reads_report_config(overlap_tree):
 
 def test_text_search_table_columns_split_into_report_fields(overlap_path):
     # this search reaches d values of 18 digits, wider than their column
-    args = ["run", str(overlap_path), "--ampos-low", "40", "--ampos-high", "55", "--seed", "0"]
+    args = ["run", str(overlap_path), "--ampos-low", "40", "--ampos-high", "55", "--seed", "32"]
     code, out, err = run_cli(args)
     assert code == 0
     code, js, err = run_cli([*args, "--format", "json"])
@@ -316,7 +317,7 @@ def test_text_search_table_columns_split_into_report_fields(overlap_path):
 
 @pytest.mark.parametrize(
     "flags,note,method_line",
-    [([], "157 (direct)", "method: direct simulation")],
+    [([], "170 (direct)", "method: direct simulation")],
     ids=["auto"],
 )
 def test_text_search_table_labels_deciding_pilot_by_method(tmp_path, flags, note, method_line):
