@@ -89,7 +89,7 @@ class Lifetime:
     def quantile(self, p):
         """Lifetime at probability ``p``, which must lie strictly in (0, 1)."""
         p = np.asarray(p, dtype=float)
-        if np.any(p <= 0.0) or np.any(p >= 1.0):
+        if not np.all((p > 0.0) & (p < 1.0)):  # nan fails both
             raise ValueError("quantile probability must lie strictly in (0, 1)")
         out = self._quantile01(p)
         return float(out) if out.ndim == 0 else out

@@ -9,12 +9,12 @@ drop parameter ``d`` for every event.
 
 There is one sampling-and-weight path, and it works on whole groups of
 blocks: ``sample_times`` draws each block's uniforms from its own stream
-straight into one event-major buffer and turns them into failure times in
-place, and ``log_weights`` turns the rows a mask selects from a matrix of
-failure times into per-cycle log likelihood ratios.  No other code samples
-or weights cycles.
+straight into the block's own ``(events, rows)`` slab of one group buffer
+and turns them into failure times in place, and ``log_weights`` turns the
+rows a mask selects from an array of failure times into per-cycle log
+likelihood ratios.  No other code samples or weights cycles.
 
-At d = 1 the times matrix is censored at the mission time T, which
+At d = 1 the failure times are censored at the mission time T, which
 samples the mixed law the weights are built from as it stands: an event
 whose F(T) is below ``CUT_MAX`` is in the window exactly when its uniform
 is below F(T), and then its time is F^-1(u); otherwise it is inf.
@@ -26,14 +26,16 @@ log d.  At d = 1 the reference laws are the base laws and every weight is
 exactly 1, so direct simulation is the d = 1 run without weights: one final
 run serves both methods, and ``model.d`` alone decides whether it weights.
 
-Reproducibility contract: cycle j draws its uniforms from the stream of
-its block b = j // BATCH, which is the PCG64DXSM generator that
+Reproducibility contract: block b = j // BATCH of w cycles draws
+``gen.random((events, w))``, where ``gen`` is the PCG64DXSM generator that
 ``SeedSequence([seed, phase])`` seeds, jumped ahead by b << 64 steps, and
-per-block partial sums are merged in fixed block order, so results are
-bit-identical for any thread count and any grouping of blocks.  A group
-is as many consecutive blocks as fit in ``GROUP_FLOATS`` floats (at least
-one); it is the unit of work of a worker, which reuses one group buffer
-and one generator, so a run holds at most one of each per worker.
+cycle j reads column j - b * BATCH of it.  Per-block partial sums are
+merged in fixed block order, so results are bit-identical for any thread
+count and any grouping of blocks.  A group is as many consecutive full
+blocks as fit in ``GROUP_FLOATS`` floats (at least one), and a short last
+block is a group of its own; a group is the unit of work of a worker,
+which reuses one buffer and one generator, so a run holds at most one of
+each per worker.
 """
 
 from __future__ import annotations
@@ -73,11 +75,7 @@ __all__ = [
 # number of worker threads, only on (seed, phase, cycle index).
 BATCH = 4096
 
-# Uniforms drawn per row chunk while filling a block buffer: the chunk's
-# (rows, events) matrix stays cache-sized whatever the tree's width.
-DRAW_CHUNK = 1 << 16
-
-# Floats of one group buffer: a tree of n events runs
+# Floats of one group buffer: a tree of n events runs up to
 # max(1, GROUP_FLOATS // (n * BATCH)) consecutive blocks per kernel call, so
 # small trees pay each numpy call once per group rather than once per block.
 GROUP_FLOATS = 1 << 17
@@ -261,78 +259,62 @@ def _stream(
     return gen
 
 
-def _fill_uniforms(gen: np.random.Generator, out: np.ndarray) -> None:
-    """Fill an event-major ``(events, rows)`` buffer from ``gen``.
-
-    Cycle ``j`` gets the uniforms that row ``j`` of ``gen.random((rows,
-    events))`` would hold, bit for bit: the stream is read row by row in
-    chunks of about ``DRAW_CHUNK`` uniforms, and each chunk is written
-    transposed into its columns of ``out``.
-    """
-    events, rows = out.shape
-    step = max(1, DRAW_CHUNK // events)
-    for r0 in range(0, rows, step):
-        r1 = min(rows, r0 + step)
-        out[:, r0:r1] = gen.random((r1 - r0, events)).T
-
-
 def sample_times(
     refs: ReferenceModel, streams: Iterable[np.random.Generator], out: np.ndarray
 ) -> np.ndarray:
-    """Failure times of ``out.shape[1]`` cycles, a block of them per stream.
+    """Failure times of a group of blocks, one stream per block.
 
-    ``out`` is an event-major ``(events, rows)`` float buffer and ``streams``
-    yields one generator per ``BATCH`` columns of it, in order (the last
-    block may be short).  Each block's columns are filled with uniforms
-    from its own generator by :func:`_fill_uniforms`, so each cycle
-    consumes exactly one uniform per event.  Event i's row is then
+    ``out`` is a C-contiguous ``(blocks, events, rows)`` float buffer and
+    ``streams`` yields one generator per block, in order.  Each block's
+    ``(events, rows)`` slab is filled by one ``gen.random(out=...)`` call
+    from its own generator, so cycle j of the block reads column j of its
+    slab: exactly one uniform per event.  Event i's uniforms are then
     inverted in place through its reference law, once for all blocks.
-    The result is the transposed view of ``out``: shape ``(rows,
-    events)``, with every event's column contiguous.
+    The result is the view of ``out`` with shape ``(blocks, rows,
+    events)``, in which each block's times of an event are contiguous.
 
     The times are censored at the mission time T for events with a cut
     (``refs.cuts[i] < 1``, only at d = 1): only the uniforms below the cut
     F(T) are inverted, and every other entry is inf, the lumped tail mass
     past the window.
     """
-    if out.shape[0] != len(refs.refs):
-        raise ValueError("buffer height does not match reference model")
-    rows = out.shape[1]
-    for r0, gen in zip(range(0, rows, BATCH), streams, strict=True):
-        _fill_uniforms(gen, out[:, r0:r0 + BATCH])
+    if out.ndim != 3 or out.shape[1] != len(refs.refs):
+        raise ValueError("buffer's event axis does not match reference model")
+    for slab, gen in zip(out, streams, strict=True):
+        gen.random(out=slab)
     # a law whose lifetimes exceed the float range maps its tail to inf,
     # which is the correct lifetime; the overflow on the way is not an error
     with np.errstate(over="ignore"):
         for i, (ref, cut) in enumerate(zip(refs.refs, refs.cuts)):
-            row = out[i]
+            u = out[:, i]
             if cut < 1.0:
-                inside = np.flatnonzero(row < cut)
-                times = ref._quantile01(row[inside])
-                row.fill(np.inf)
-                row[inside] = times
+                inside = u < cut
+                times = ref._quantile01(u[inside])
+                u.fill(np.inf)
+                u[inside] = times
             else:
-                out[i] = ref._quantile01(row)
-    return out.T
+                u[...] = ref._quantile01(u)
+    return out.transpose(0, 2, 1)
 
 
 def log_weights(refs: ReferenceModel, times: np.ndarray, mission_time: float, mask: np.ndarray) -> np.ndarray:
     """Per-row log likelihood ratio of the rows ``mask`` selects from a
-    ``(rows, events)`` times matrix, in order.
+    ``(..., rows, events)`` times array, in order.
 
     Every basic event contributes a factor: the density ratio f(t)/g(t) when
     its time is inside the mission window, the tail-mass ratio
-    (1-F(T))/(1-G(T)) otherwise.  Each event's column is compressed by the
-    boolean ``mask`` on its own, so the selected rows are never copied out
-    as a matrix.
+    (1-F(T))/(1-G(T)) otherwise.  Each event's times are compressed by
+    the boolean ``mask``, of shape ``times.shape[:-1]``, on their own, so
+    the selected rows are never copied out as a matrix.
     """
-    if times.shape[1] != len(refs.refs):
+    if times.shape[-1] != len(refs.refs):
         raise ValueError("times matrix width does not match reference model")
     logw = np.zeros(np.count_nonzero(mask))
     # both branches are evaluated; an infinite time gives inf - inf in the
     # density ratio, which the tail branch then replaces
     with np.errstate(invalid="ignore"):
         for i, ref in enumerate(refs.refs):
-            col = times[:, i][mask]
+            col = times[..., i][mask]
             logw += np.where(
                 col < mission_time,
                 ref.log_density_ratio(col),
@@ -361,20 +343,6 @@ def _available_cores() -> int:
     return os.cpu_count() or 1
 
 
-def _block_sums(x: np.ndarray) -> list[float]:
-    """``np.sum`` of each ``BATCH``-long block of ``x``, in order.
-
-    The row sums of the full blocks reduce each row pairwise, exactly as
-    ``np.sum`` does on one block, so they are bit-identical to it;
-    ``np.add.reduceat`` is not, because it sums each block sequentially.
-    """
-    full = len(x) // BATCH
-    sums = x[:full * BATCH].reshape(full, BATCH).sum(axis=1).tolist()
-    if len(x) > full * BATCH:
-        sums.append(float(np.sum(x[full * BATCH:])))
-    return sums
-
-
 def _compute_group(tree, refs, mission_time, weighted, streams, buf):
     times = sample_times(refs, streams, buf)
     indicator = batch_top_times(tree, times) < mission_time
@@ -382,16 +350,18 @@ def _compute_group(tree, refs, mission_time, weighted, streams, buf):
     if not weighted:
         return hits, [float(hits)], [float(hits)]
     # only hit rows are weighted; scattering them into zeros gives each
-    # block's np.sum the same array, and so the same pairwise sum, as
-    # weighting every row.  exp and the square reuse their input's memory,
-    # which keeps a group's temporaries near the size of its buffer.
+    # block the same terms, and so the same pairwise sum, as weighting
+    # every row.  A row sum of a C-contiguous (blocks, rows) array reduces
+    # each row pairwise, exactly as np.sum reduces one block.  exp and the
+    # square reuse their input's memory, which keeps a group's temporaries
+    # near the size of its buffer.
     weights = log_weights(refs, times, mission_time, indicator)
     np.exp(weights, out=weights)
-    terms = np.zeros(buf.shape[1])
+    terms = np.zeros(indicator.shape)
     terms[indicator] = weights
-    sums = _block_sums(terms)
+    sums = terms.sum(axis=-1).tolist()
     np.multiply(terms, terms, out=terms)
-    return hits, sums, _block_sums(terms)
+    return hits, sums, terms.sum(axis=-1).tolist()
 
 
 def run_batch(
@@ -406,11 +376,13 @@ def run_batch(
     """Simulate ``n_cycles`` cycles and accumulate hit and weight totals.
 
     Cycles are split into blocks of ``BATCH``, each with its own stream
-    (:func:`_stream`) and its own partial sums, and consecutive blocks into
-    groups of :func:`_group_blocks`, each one kernel call.  The block sums
-    are merged in block order, which makes the totals independent of the
-    grouping and of the thread count, which :func:`_worker_count` picks
-    from the group count and the available cores.  The group buffers and
+    (:func:`_stream`) and its own partial sums.  Consecutive full blocks
+    form groups of up to :func:`_group_blocks`, and a short last block is
+    a group of its own, so every group is one C-contiguous ``(blocks,
+    events, rows)`` buffer and one kernel call.  The block sums are merged
+    in block order, which makes the totals independent of the grouping
+    and of the thread count, which :func:`_worker_count` picks from the
+    group count and the available cores.  The group buffers and
     generators are made here, one per worker, and lent to the workers
     through a queue, so the run's working set is bounded by ``workers *
     max(GROUP_FLOATS, events * BATCH)`` floats.
@@ -421,32 +393,32 @@ def run_batch(
         raise ValueError("reference model does not match the tree's basic events")
     n_events = len(refs.refs)
     per_group = _group_blocks(n_events)
-    group_cycles = per_group * BATCH
-    n_groups = (n_cycles + group_cycles - 1) // group_cycles
-    workers = _worker_count(n_groups)
+    full, short = divmod(n_cycles, BATCH)
+    # (first block, blocks, rows per block)
+    groups = [(b, min(per_group, full - b), BATCH) for b in range(0, full, per_group)]
+    if short:
+        groups.append((full, 1, short))
+    workers = _worker_count(len(groups))
     base = _stream_base(config.seed, phase)
     kits: queue.SimpleQueue = queue.SimpleQueue()
     for _ in range(workers):
-        kits.put((np.empty((n_events, min(group_cycles, n_cycles))), _stream(base, 0)))
+        kits.put((np.empty(n_events * min(per_group * BATCH, n_cycles)), _stream(base, 0)))
 
-    def work(g):
-        rows = min(group_cycles, n_cycles - g * group_cycles)
-        first = g * per_group
-        buf, gen = kits.get()
+    def work(group):
+        first, blocks, rows = group
+        flat, gen = kits.get()
         try:
-            streams = (
-                _stream(base, b, gen)
-                for b in range(first, first + (rows + BATCH - 1) // BATCH)
-            )
-            return _compute_group(tree, refs, config.mission_time, weighted, streams, buf[:, :rows])
+            streams = (_stream(base, b, gen) for b in range(first, first + blocks))
+            buf = flat[:blocks * n_events * rows].reshape(blocks, n_events, rows)
+            return _compute_group(tree, refs, config.mission_time, weighted, streams, buf)
         finally:
-            kits.put((buf, gen))
+            kits.put((flat, gen))
 
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            partials = list(pool.map(work, range(n_groups)))
+            partials = list(pool.map(work, groups))
     else:
-        partials = [work(g) for g in range(n_groups)]
+        partials = [work(g) for g in groups]
 
     hits = sum(p[0] for p in partials)
     weight_sum = math.fsum(s for p in partials for s in p[1])

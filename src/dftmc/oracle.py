@@ -99,8 +99,10 @@ def smallp_pand_overlap(mission_time: float, mttfs) -> float:
 
         P(TOP before T) ~= (3/4) * p1 * p2 * p3 * p4,  p_i = 1 - exp(-T/u_i).
 
-    The relative error is of order max(p_i).
+    The relative error is of order max(p_i).  Raises ValueError unless
+    ``mission_time`` is finite and positive.
     """
+    mission_time = _check_positive(mission_time, "mission_time")
     u1, u2, u3, u4 = mttfs
     p = [-math.expm1(-mission_time / u) for u in (u1, u2, u3, u4)]
     return 0.75 * p[0] * p[1] * p[2] * p[3]
@@ -112,8 +114,10 @@ def direct_rich(tree: FaultTree, mission_time: float, cycles: int, seed: int = 0
     Sampling uses the random generator's own distribution routines and the
     scalar tree walk, nothing from the engine's batch path.  Intended for
     non-rare regimes.  Returns (p_hat, std_err) with the binomial standard
-    error sqrt(p(1-p)/n).
+    error sqrt(p(1-p)/n).  Raises ValueError unless ``mission_time`` is
+    finite and positive.
     """
+    mission_time = _check_positive(mission_time, "mission_time")
     if cycles < 1:
         raise ValueError(f"insufficient cycles: {cycles}")
     rng = np.random.default_rng(seed)

@@ -142,19 +142,19 @@ def probe_uniforms(c, data):
 
 
 class _Uniforms:
-    """A stand-in generator whose ``random`` returns the given uniforms."""
+    """A stand-in generator whose ``random`` fills ``out`` with the given uniforms."""
 
     def __init__(self, u):
         self.u = u
 
-    def random(self, shape):
-        return self.u.reshape(shape)
+    def random(self, *, out):
+        out[...] = self.u.reshape(out.shape)
 
 
 def sampled(law, t, u):
     """``sample_times`` of a one-event d = 1 model fed the uniforms ``u``."""
     model = build_reference_model(FaultTree((BasicEvent("X", law),), "X"), 1.0, t)
-    return model.cuts[0], sample_times(model, [_Uniforms(u)], np.empty((1, len(u))))[:, 0]
+    return model.cuts[0], sample_times(model, [_Uniforms(u)], np.empty((1, 1, len(u))))[0, :, 0]
 
 
 @settings(PROPERTY, max_examples=300)

@@ -126,7 +126,7 @@ def test_normal_keeps_the_digits_of_a_tiny_failure_probability():
 
 @pytest.mark.parametrize("dist", FAMILIES, ids=lambda d: repr(d))
 def test_quantile_domain_errors(dist):
-    for p in (0.0, 1.0, -0.2, 1.3):
+    for p in (0.0, 1.0, -0.2, 1.3, math.nan, [0.5, math.nan]):
         with pytest.raises(ValueError):
             dist.quantile(p)
 

@@ -14,7 +14,6 @@ from dftmc import engine
 from dftmc.distributions import Exponential, Normal, ReferenceDistribution, solve_reference
 from dftmc.engine import (
     BATCH,
-    DRAW_CHUNK,
     GROUP_FLOATS,
     MAX_SEARCH_ITERATIONS,
     BatchTotals,
@@ -24,8 +23,6 @@ from dftmc.engine import (
     run_batch,
     sample_times,
     select_reference,
-    _block_sums,
-    _fill_uniforms,
     _group_blocks,
     _stream,
     _stream_base,
@@ -60,16 +57,16 @@ def mixed_tree():
     return to_fault_tree(parse(MIXED_DFT))
 
 
-# 64 events of all four families under every gate kind.  A block of it
-# spans several draw chunks, and the automatic rule runs it on threads.  At
-# T = 3 some rows hit at d = 1, 2 and 8, and some miss.
+# 64 events of all four families under every gate kind.  It runs one
+# block per group, and the automatic rule runs it on threads.  At T = 3
+# some rows hit at d = 1, 2 and 8, and some miss.
 WIDE_MISSION = 3.0
 
 
 @pytest.fixture(scope="module")
 def wide_tree():
     tree = random_tree(np.random.default_rng(4), 64)
-    assert DRAW_CHUNK // len(tree.basic_events) < BATCH
+    assert _group_blocks(len(tree.basic_events)) == 1
     return tree
 
 
@@ -170,10 +167,15 @@ def stream(seed, phase, b):
     return _stream(_stream_base(seed, phase), b)
 
 
-def block_streams(seed, phase, rows):
-    """A new generator for each of the blocks that ``rows`` cycles span."""
+def block_streams(seed, phase, blocks):
+    """A new generator for each of ``blocks`` blocks."""
     base = _stream_base(seed, phase)
-    return [_stream(base, b) for b in range((rows + BATCH - 1) // BATCH)]
+    return [_stream(base, b) for b in range(blocks)]
+
+
+def sampled(model, streams, rows):
+    """``sample_times`` of one block of ``rows`` cycles per stream."""
+    return sample_times(model, streams, np.empty((len(streams), len(model.refs), rows)))
 
 
 def test_reused_generator_draws_the_new_pcg_stream():
@@ -212,44 +214,49 @@ def test_neighbouring_streams_look_independent_and_uniform(seed, b):
 
 
 @pytest.mark.parametrize("rows, events", [(1, 1), (1000, 7), (905, 33), (4096, 200), (4096, 300)])
-def test_fill_uniforms_keeps_the_row_major_draw_order(rows, events):
-    # chunk edges fall inside the block, and a short block ends in a part chunk
-    out = np.empty((events, rows))
-    _fill_uniforms(stream(21, 2, 7), out)
-    expected = stream(21, 2, 7).random((rows, events)).T
-    assert out.tobytes() == np.ascontiguousarray(expected).tobytes()
+def test_sample_times_reads_column_j_of_each_blocks_draw(rows, events):
+    # block b of w cycles draws gen.random((events, w)), and cycle j of the
+    # block reads column j; at d = 2 no entry is censored
+    tree = random_tree(np.random.default_rng(events), events)
+    model = build_reference_model(tree, 2.0, MISSION)
+    times = sampled(model, block_streams(21, 2, 2), rows)
+    assert times.shape == (2, rows, events)
+    for b in range(2):
+        u = stream(21, 2, b).random((events, rows))
+        with np.errstate(over="ignore"):
+            expected = np.array([ref._quantile01(u[i]) for i, ref in enumerate(model.refs)]).T
+        assert np.ascontiguousarray(times[b]).tobytes() == np.ascontiguousarray(expected).tobytes()
 
 
 def test_sample_times_rejects_mismatched_buffer(overlap_tree):
     model = build_reference_model(overlap_tree, 2.0, MISSION)
-    with pytest.raises(ValueError, match="buffer"):
-        sample_times(model, [stream(0, 0, 0)], np.empty((3, 10)))
+    for shape in ((1, 3, 10), (4, 10)):
+        with pytest.raises(ValueError, match="buffer"):
+            sample_times(model, [stream(0, 0, 0)], np.empty(shape))
 
 
 def test_sample_times_takes_one_stream_per_block(overlap_tree):
     model = build_reference_model(overlap_tree, 2.0, MISSION)
-    for streams in (block_streams(0, 0, BATCH), block_streams(0, 0, 3 * BATCH)):
+    for streams in (block_streams(0, 0, 1), block_streams(0, 0, 3)):
         with pytest.raises(ValueError):
-            sample_times(model, streams, np.empty((4, BATCH + 1)))
+            sample_times(model, streams, np.empty((2, 4, BATCH)))
 
 
 def test_sample_times_fills_each_block_from_its_own_stream(mixed_tree):
     model = build_reference_model(mixed_tree, 2.0, MISSION)
-    rows = 2 * BATCH + 100
-    group = sample_times(model, block_streams(7, 1, rows), np.empty((5, rows)))
-    for b, gen in enumerate(block_streams(7, 1, rows)):
-        block = group[b * BATCH:(b + 1) * BATCH]
-        alone = sample_times(model, [gen], np.empty((5, len(block))))
-        assert alone.tobytes() == block.tobytes()
+    group = sampled(model, block_streams(7, 1, 3), BATCH)
+    for b, gen in enumerate(block_streams(7, 1, 3)):
+        alone = sampled(model, [gen], BATCH)
+        assert alone.tobytes() == group[b:b + 1].tobytes()
 
 
 def test_sample_times_deterministic():
     tree = single_event_tree(Exponential(1000.0))
     model = build_reference_model(tree, 2.0, MISSION)
-    a = sample_times(model, [stream(9, 1, 0)], np.empty((1, 3)))
-    b = sample_times(model, [stream(9, 1, 0)], np.empty((1, 3)))
-    assert a.shape == (3, 1)
-    assert [x[0] for x in a] == [x[0] for x in b]
+    a = sampled(model, [stream(9, 1, 0)], 3)
+    b = sampled(model, [stream(9, 1, 0)], 3)
+    assert a.shape == (1, 3, 1)
+    assert a.tobytes() == b.tobytes()
 
 
 def _ks_distance(draws, cdf):
@@ -265,20 +272,18 @@ def test_base_quantile_matches_base_law():
     # the full law; sample_times at d = 1 inverts only the uniforms that
     # land inside the mission window
     dist = Exponential(1000.0)
-    u = np.empty((1, 100_000))
-    for b, gen in enumerate(block_streams(1234, 0, 100_000)):
-        _fill_uniforms(gen, u[:, b * BATCH:(b + 1) * BATCH])
-    assert _ks_distance(dist._quantile01(u[0]), lambda t: np.asarray(dist.cdf(t))) < 0.01
+    u = np.concatenate([gen.random(BATCH) for gen in block_streams(1234, 0, 25)])
+    assert _ks_distance(dist._quantile01(u), lambda t: np.asarray(dist.cdf(t))) < 0.01
 
 
 def test_sample_times_match_base_law_at_d_one():
     # at d = 1 the times are censored at T: the in-window draws follow F
     # conditioned on [0, T), and the share of inf is 1 - F(T)
-    n = 100_000
+    n = 25 * BATCH
     for dist in one_law_per_family(0.1):
         model = build_reference_model(single_event_tree(dist), 1.0, MISSION)
         assert model.cuts[0] < 1.0
-        draws = sample_times(model, block_streams(1234, 0, n), np.empty((1, n)))[:, 0]
+        draws = sampled(model, block_streams(1234, 0, 25), BATCH).ravel()
         inside = draws[draws < MISSION]
         f = float(dist.cdf(MISSION))
         assert _ks_distance(inside, lambda t: np.asarray(dist.cdf(t)) / f) < 2.0 / math.sqrt(len(inside))
@@ -290,7 +295,7 @@ def test_sample_times_match_reference_law_at_d_two():
     model = build_reference_model(tree, 2.0, MISSION)
     assert model.refs[0].v == pytest.approx(1.44062, rel=1e-5)
     ref = Exponential(model.refs[0].v)
-    draws = sample_times(model, block_streams(99, 0, 100_000), np.empty((1, 100_000)))[:, 0]
+    draws = sampled(model, block_streams(99, 0, 25), BATCH).ravel()
     assert _ks_distance(draws, lambda t: np.asarray(ref.cdf(t))) < 0.01
 
 
@@ -306,15 +311,16 @@ def test_weight_is_exactly_one_at_d_one():
     rng = np.random.default_rng(2)
     tree = random_tree(rng, 5)
     model = build_reference_model(tree, 1.0, MISSION)
-    times = sample_times(model, [stream(5, 0, 0)], np.empty((len(model.refs), 200)))
+    times = sampled(model, [stream(5, 0, 0)], 200)[0]
     assert np.all(_weights(model, times) == 1.0)
 
 
 def test_log_weights_of_masked_rows_equal_those_of_the_selected_matrix(mixed_tree):
+    # a group of two blocks: the mask selects from its (blocks, rows) cycles
     model = build_reference_model(mixed_tree, 8.0, MISSION)
-    times = sample_times(model, [stream(6, 0, 0)], np.empty((len(model.refs), 500)))
+    times = sampled(model, block_streams(6, 0, 2), 500)
     mask = batch_top_times(mixed_tree, times) < MISSION
-    assert 0 < np.count_nonzero(mask) < 500
+    assert mask.shape == (2, 500) and 0 < np.count_nonzero(mask) < 1000
     masked = log_weights(model, times, MISSION, mask)
     selected = times[mask]
     assert masked.tobytes() == log_weights(model, selected, MISSION, np.ones(len(selected), bool)).tobytes()
@@ -441,8 +447,9 @@ def test_group_size_and_the_groups_the_rule_sees(monkeypatch, overlap_tree):
     model = build_reference_model(overlap_tree, 2.0, MISSION)
     for n_cycles in (0, 1000, 10**6):
         run_batch(overlap_tree, model, RunConfig(mission_time=MISSION), n_cycles)
-    # 1e6 cycles are 245 blocks, 31 groups of 8
-    assert seen == [0, 1, 31]
+    # 1e6 cycles are 244 full blocks, 30 groups of 8 and one of 4, and a
+    # short block, a group of its own
+    assert seen == [0, 1, 32]
 
 
 def test_run_batch_working_set_is_one_block_buffer_per_worker():
@@ -487,22 +494,24 @@ def test_run_batch_working_set_of_a_small_tree_is_one_group_buffer_per_worker(ov
 def _reference_totals(tree, model, config, n_cycles, phase, censored=False):
     """Totals the way the engine defines them, with no shortcut.
 
-    Times are inverted column by column into a row-major matrix, every
-    row is weighted, misses are zeroed with ``np.where``, and the block
-    sums are merged with ``np.sum`` and ``math.fsum``.  ``censored`` sets
-    each time whose uniform is at or above its event's cut to inf after
-    inverting it.
+    This is the draw order written out: block b of w cycles draws
+    ``gen.random((events, w))`` from its own stream, and cycle j of the
+    block reads column j.  Times are inverted event by event into a
+    row-major matrix, every row is weighted, misses are zeroed with
+    ``np.where``, and the block sums are merged with ``np.sum`` and
+    ``math.fsum``.  ``censored`` sets each time whose uniform is at or
+    above its event's cut to inf after inverting it.
     """
     t = config.mission_time
     hits, sums, sq_sums = 0, [], []
     for b in range((n_cycles + BATCH - 1) // BATCH):
         rows = min(BATCH, n_cycles - b * BATCH)
-        u = stream(config.seed, phase, b).random((rows, len(model.refs)))
-        times = np.empty_like(u)
+        u = stream(config.seed, phase, b).random((len(model.refs), rows))
+        times = np.empty((rows, len(model.refs)))
         for i, (ref, cut) in enumerate(zip(model.refs, model.cuts)):
-            times[:, i] = ref._quantile01(u[:, i])
+            times[:, i] = ref._quantile01(u[i])
             if censored:
-                times[u[:, i] >= cut, i] = np.inf
+                times[u[i] >= cut, i] = np.inf
         indicator = batch_top_times(tree, times) < t
         with np.errstate(over="ignore"):
             weights = np.exp(log_weights(model, times, t, np.ones(rows, bool)))
@@ -585,7 +594,7 @@ def test_censored_rows_are_inverted_by_the_reference_quantile(monkeypatch):
     sizes = []
     inverse = ReferenceDistribution._quantile01
     monkeypatch.setattr(ReferenceDistribution, "_quantile01", lambda ref, p: sizes.append(len(p)) or inverse(ref, p))
-    times = sample_times(model, block_streams(4, 3, BATCH), np.empty((len(model.refs), BATCH)))
+    times = sampled(model, block_streams(4, 3, 1), BATCH)[0]
     assert sizes == [int(np.count_nonzero(np.isfinite(times[:, i]))) for i in range(len(model.refs))]
     assert sum(sizes) < 0.2 * times.size
 
@@ -593,14 +602,15 @@ def test_censored_rows_are_inverted_by_the_reference_quantile(monkeypatch):
 @pytest.mark.parametrize("which", ["overlap", "mixed"])
 def test_run_batch_group_edges_equal_all_row_reference(which, overlap_tree, mixed_tree):
     # cycle counts on both sides of block and group edges: one cycle, a
-    # short block, one block, one group, a group and a cycle, and two
+    # short block, one block, one group, a group and a cycle, a group and
+    # a partial group of full blocks and then a short block, and two
     # groups and a short block
     tree = {"overlap": overlap_tree, "mixed": mixed_tree}[which]
     k = _group_blocks(len(tree.basic_events))
     assert k > 1
     model = build_reference_model(tree, 2.0, MISSION)
     config = RunConfig(mission_time=MISSION, seed=8)
-    for n_cycles in (1, BATCH - 1, BATCH, k * BATCH, k * BATCH + 1, 2 * k * BATCH + 100):
+    for n_cycles in (1, BATCH - 1, BATCH, k * BATCH, k * BATCH + 1, (k + 1) * BATCH + 100, 2 * k * BATCH + 100):
         reference = _reference_totals(tree, model, config, n_cycles, phase=5)
         counted = BatchTotals(reference.hits, float(reference.hits), float(reference.hits))
         for threads in (1, 2, 3):
@@ -613,20 +623,28 @@ def test_run_batch_group_edges_equal_all_row_reference(which, overlap_tree, mixe
 
 def test_row_sums_of_blocks_equal_each_block_np_sum():
     # the group kernel's block sums rest on this: the sum along axis 1 of a
-    # (k, BATCH) array reduces each row pairwise, exactly as np.sum reduces
-    # one block.  np.add.reduceat is no substitute: it sums each block
-    # sequentially, and differs in most trials.
+    # (k, BATCH) array, and of the (1, r) array of a short block, reduces
+    # each row pairwise, exactly as np.sum reduces one block.
+    # np.add.reduceat is no substitute: it sums each block sequentially,
+    # and differs in most trials.
     rng = np.random.default_rng(17)
     k = 8
+
+    def terms(n, density):
+        x = np.zeros(n)
+        hit = rng.random(n) < density
+        x[hit] = rng.random(np.count_nonzero(hit)) * np.exp2(rng.uniform(-80.0, 80.0, np.count_nonzero(hit)))
+        return x
+
     for density in (0.001, 0.05, 0.5, 1.0):
         for _ in range(20):
-            x = np.zeros(k * BATCH + 100)
-            hit = rng.random(len(x)) < density
-            x[hit] = rng.random(np.count_nonzero(hit)) * np.exp2(rng.uniform(-80.0, 80.0, np.count_nonzero(hit)))
-            each = [np.sum(x[b * BATCH:(b + 1) * BATCH]) for b in range(k + 1)]
-            rows = x[:k * BATCH].reshape(k, BATCH).sum(axis=1)
-            assert rows.tobytes() == np.array(each[:k]).tobytes()
-            assert _block_sums(x) == each
+            x = terms(k * BATCH, density)
+            each = [np.sum(x[b * BATCH:(b + 1) * BATCH]) for b in range(k)]
+            rows = x.reshape(k, BATCH).sum(axis=1)
+            assert rows.tobytes() == np.array(each).tobytes()
+            for r in (1, 100, BATCH - 1):
+                short = terms(r, density)
+                assert short.reshape(1, r).sum(axis=1).tobytes() == np.array([np.sum(short)]).tobytes()
 
 
 # -- reference search ---------------------------------------------------------
@@ -697,9 +715,9 @@ def test_trace_brackets_nested(overlap_tree):
 
 
 def test_search_bisects_bracket_in_log_d(overlap_tree):
-    # a narrow band: at seed 32 the demo overshoots at d = 4, then needs six
+    # a narrow band: at seed 3 the demo overshoots at d = 4, then needs six
     # more pilots inside the bracket [2, 4]
-    cfg = RunConfig(mission_time=MISSION, seed=32, ampos_low=40, ampos_high=55, prelim_cycles=1000)
+    cfg = RunConfig(mission_time=MISSION, seed=3, ampos_low=40, ampos_high=55, prelim_cycles=1000)
     model, trace = select_reference(overlap_tree, cfg)
     bracketed = [it for it in trace.iterations if not math.isinf(it.d_up)]
     assert len(trace.iterations) == 9 and len(bracketed) == 6
@@ -802,8 +820,8 @@ def test_estimate_deterministic(overlap_tree):
 def test_estimates_match_golden_bits(overlap_tree, mixed_tree, static_or2_tree):
     """p_hat, std_err and hits pinned bit for bit.
 
-    The values were recorded when each block's uniforms came to be drawn
-    from its jumped PCG64DXSM stream.  Kernel reworks that keep the
+    The values were recorded when each block came to draw its uniforms as
+    one ``(events, rows)`` slab from its jumped PCG64DXSM stream.  Kernel reworks that keep the
     streams, the formulas and the summation order must not move these
     runs by one bit, at any thread count, automatic included.
     """
@@ -811,20 +829,20 @@ def test_estimates_match_golden_bits(overlap_tree, mixed_tree, static_or2_tree):
     assert sum(g.kind is GateKind.VOTING for g in gen_tree.gates) == 3
     runs = [
         (overlap_tree, dict(mission_time=MISSION, seed=0),
-         ("0x1.223d64b2c3eeep-45", "0x1.1caf0ca53f526p-51", 4800)),
+         ("0x1.13d5a86dcd77dp-45", "0x1.13d3258eae835p-51", 4616)),
         (mixed_tree, dict(mission_time=MISSION, seed=0),
-         ("0x1.08d55b05c3572p-24", "0x1.1e521b2a28563p-26", 8263)),
+         ("0x1.2d49be6a9a0e9p-24", "0x1.0f6597e7bf2e5p-25", 8378)),
         (mixed_tree, dict(mission_time=MISSION, seed=1),
-         ("0x1.a534bd5253554p-25", "0x1.d14d72bdcd834p-27", 8277)),
+         ("0x1.2cf4019e31245p-24", "0x1.c8b0171c66fdbp-26", 8236)),
         # two blocks of 4096 cycles, run direct
         (gen_tree, dict(mission_time=20.0, method="direct", seed=0, cycles=2 * BATCH),
-         ("0x1.17c0000000000p-1", "0x1.687fd1929936fp-8", 4476)),
+         ("0x1.1750000000000p-1", "0x1.688e70cef3884p-8", 4469)),
         # goes direct after its d = 1 pilot hits
         (gen_tree, dict(mission_time=20.0, seed=3, cycles=2 * BATCH),
-         ("0x1.1890000000000p-1", "0x1.6863ef909298cp-8", 4489)),
+         ("0x1.19d0000000000p-1", "0x1.683730b1d894fp-8", 4509)),
         # a d = 1 pilot above the band goes direct
         (static_or2_tree, dict(mission_time=1.0, seed=0, cycles=2 * BATCH),
-         ("0x1.7f80000000000p-3", "0x1.1a7df1678296ap-8", 1534)),
+         ("0x1.8100000000000p-3", "0x1.1aea942199feap-8", 1540)),
     ]
     for tree, kwargs, expected in runs:
         for threads in (1, 2, None):

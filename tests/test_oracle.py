@@ -45,8 +45,15 @@ def test_exact_refuses_mission_time_not_finite_and_positive(mission_time):
         [Gate("T", GateKind.OR, ("A", "B"))],
         "T",
     )
-    with pytest.raises(ValueError, match="mission_time must be a finite positive number"):
+    # no oracle may read such a time as a verdict: inf once gave direct_rich
+    # a p_hat of 1, and nan one of 0
+    message = "mission_time must be a finite positive number"
+    with pytest.raises(ValueError, match=message):
         exact_static(tree, mission_time)
+    with pytest.raises(ValueError, match=message):
+        direct_rich(tree, mission_time, 100)
+    with pytest.raises(ValueError, match=message):
+        smallp_pand_overlap(mission_time, [1000.0, 2000.0, 3000.0, 4000.0])
 
 
 def test_exact_and_two():
