@@ -7,12 +7,12 @@ the lumped tail-mass ratio (1-F(T))/(1-G(T)) for times beyond it.  By
 construction of the reference scales the tail factor equals the common
 drop parameter ``d`` for every event.
 
-There is one sampling-and-weight path, and it works on whole groups of
-blocks: ``sample_times`` draws each block's uniforms from its own stream
-straight into the block's own ``(events, rows)`` slab of one group buffer
-and turns them into failure times in place, and ``log_weights`` turns the
-rows a mask selects from an array of failure times into per-cycle log
-likelihood ratios.  No other code samples or weights cycles.
+There is one sampling-and-weight path, and it works on whole blocks of
+cycles: ``sample_times`` draws a block's uniforms from its own stream
+straight into the block's ``(events, rows)`` buffer and turns them into
+failure times in place, and ``log_weights`` turns the rows a mask selects
+from an array of failure times into per-cycle log likelihood ratios.  No
+other code samples or weights cycles.
 
 At d = 1 the failure times are censored at the mission time T, which
 samples the mixed law the weights are built from as it stands: an event
@@ -26,16 +26,14 @@ log d.  At d = 1 the reference laws are the base laws and every weight is
 exactly 1, so direct simulation is the d = 1 run without weights: one final
 run serves both methods, and ``model.d`` alone decides whether it weights.
 
-Reproducibility contract: block b = j // BATCH of w cycles draws
-``gen.random((events, w))``, where ``gen`` is the PCG64DXSM generator that
-``SeedSequence([seed, phase])`` seeds, jumped ahead by b << 64 steps, and
-cycle j reads column j - b * BATCH of it.  Per-block partial sums are
-merged in fixed block order, so results are bit-identical for any thread
-count and any grouping of blocks.  A group is as many consecutive full
-blocks as fit in ``GROUP_FLOATS`` floats (at least one), and a short last
-block is a group of its own; a group is the unit of work of a worker,
-which reuses one buffer and one generator, so a run holds at most one of
-each per worker.
+Reproducibility contract: block b of a tree of n events covers cycles
+[b * L, (b + 1) * L), with L = ``_block_rows(n)``, and draws
+``gen.random((events, w))`` for its w cycles from the PCG64DXSM generator
+that ``SeedSequence([seed, phase])`` seeds, jumped ahead by b << 64 steps;
+cycle j reads column j - b * L.  Per-block partial sums are merged in
+fixed block order, so results are bit-identical for any thread count.  A
+block is the unit of work of a worker, which reuses one buffer and one
+generator, so a run holds at most one of each per worker.
 """
 
 from __future__ import annotations
@@ -44,7 +42,6 @@ import math
 import numbers
 import os
 import queue
-from collections.abc import Iterable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -71,14 +68,13 @@ __all__ = [
     "estimate_top",
 ]
 
-# Cycles per random stream block.  Fixed: results must not depend on the
-# number of worker threads, only on (seed, phase, cycle index).
+# Block lengths are multiples of BATCH cycles, and at least BATCH.
 BATCH = 4096
 
-# Floats of one group buffer: a tree of n events runs up to
-# max(1, GROUP_FLOATS // (n * BATCH)) consecutive blocks per kernel call, so
-# small trees pay each numpy call once per group rather than once per block.
-GROUP_FLOATS = 1 << 17
+# Floats of one block buffer: a tree of n events runs blocks of
+# BATCH * max(1, BLOCK_FLOATS // (n * BATCH)) cycles, so small trees pay
+# each numpy call once per 2**17 uniforms rather than once per BATCH rows.
+BLOCK_FLOATS = 1 << 17
 
 _MASK64 = (1 << 64) - 1
 
@@ -145,12 +141,14 @@ class RunConfig:
 class ReferenceModel:
     """Per-event reference laws tied together by the common drop parameter d.
 
-    ``cuts[i]`` is event i's F(T) at d = 1: the uniform at and above which
-    :func:`sample_times` censors its lifetimes to inf.  1.0 inverts every
-    uniform.
+    The laws are solved at ``mission_time``, and a run at any other mission
+    time is refused.  ``cuts[i]`` is event i's F(T) at d = 1: the uniform
+    at and above which :func:`sample_times` censors its lifetimes to inf.
+    1.0 inverts every uniform.
     """
 
     d: float
+    mission_time: float
     events: tuple[str, ...]
     refs: tuple[ReferenceDistribution, ...]
     cuts: tuple[float, ...]
@@ -218,7 +216,7 @@ def build_reference_model(tree: FaultTree, d: float, mission_time: float) -> Ref
         cuts = tuple(_window_cut(ref.law, mission_time) for ref in refs)
     else:
         cuts = (1.0,) * len(refs)
-    return ReferenceModel(d=d, events=tuple(names), refs=tuple(refs), cuts=cuts)
+    return ReferenceModel(d=d, mission_time=mission_time, events=tuple(names), refs=tuple(refs), cuts=cuts)
 
 
 def _window_cut(law, mission_time: float) -> float:
@@ -241,10 +239,10 @@ def _stream_base(seed: int, phase: int) -> dict:
 
 
 def _stream(
-    base: dict, batch_index: int, gen: np.random.Generator | None = None
+    base: dict, block: int, gen: np.random.Generator | None = None
 ) -> np.random.Generator:
-    """Block ``batch_index``'s generator: the PCG64DXSM state ``base``
-    advanced by ``batch_index << 64`` steps.
+    """Block ``block``'s generator: the PCG64DXSM state ``base`` advanced
+    by ``block << 64`` steps.
 
     With ``gen``, a PCG64DXSM generator, that state is set in place and
     ``gen`` is returned.  Setting the state also clears the spare 32-bit
@@ -255,38 +253,31 @@ def _stream(
     if gen is None:
         gen = np.random.Generator(np.random.PCG64DXSM(0))
     gen.bit_generator.state = base
-    gen.bit_generator.advance(batch_index << 64)
+    gen.bit_generator.advance(block << 64)
     return gen
 
 
-def sample_times(
-    refs: ReferenceModel, streams: Iterable[np.random.Generator], out: np.ndarray
-) -> np.ndarray:
-    """Failure times of a group of blocks, one stream per block.
+def sample_times(refs: ReferenceModel, gen: np.random.Generator, out: np.ndarray) -> np.ndarray:
+    """Failure times of one block of cycles, drawn from the block's stream.
 
-    ``out`` is a C-contiguous ``(blocks, events, rows)`` float buffer and
-    ``streams`` yields one generator per block, in order.  Each block's
-    ``(events, rows)`` slab is filled by one ``gen.random(out=...)`` call
-    from its own generator, so cycle j of the block reads column j of its
-    slab: exactly one uniform per event.  Event i's uniforms are then
-    inverted in place through its reference law, once for all blocks.
-    The result is the view of ``out`` with shape ``(blocks, rows,
-    events)``, in which each block's times of an event are contiguous.
+    ``out`` is a C-contiguous ``(events, rows)`` float buffer, filled by
+    one ``gen.random(out=out)`` call, so cycle j of the block reads column
+    j: exactly one uniform per event.  Each event's row is then inverted
+    in place through its reference law.  The result is the ``(rows,
+    events)`` view of ``out``, in which each event's times are contiguous.
 
     The times are censored at the mission time T for events with a cut
     (``refs.cuts[i] < 1``, only at d = 1): only the uniforms below the cut
     F(T) are inverted, and every other entry is inf, the lumped tail mass
     past the window.
     """
-    if out.ndim != 3 or out.shape[1] != len(refs.refs):
+    if out.ndim != 2 or out.shape[0] != len(refs.refs):
         raise ValueError("buffer's event axis does not match reference model")
-    for slab, gen in zip(out, streams, strict=True):
-        gen.random(out=slab)
+    gen.random(out=out)
     # a law whose lifetimes exceed the float range maps its tail to inf,
     # which is the correct lifetime; the overflow on the way is not an error
     with np.errstate(over="ignore"):
-        for i, (ref, cut) in enumerate(zip(refs.refs, refs.cuts)):
-            u = out[:, i]
+        for u, ref, cut in zip(out, refs.refs, refs.cuts):
             if cut < 1.0:
                 inside = u < cut
                 times = ref._quantile01(u[inside])
@@ -294,18 +285,18 @@ def sample_times(
                 u[inside] = times
             else:
                 u[...] = ref._quantile01(u)
-    return out.transpose(0, 2, 1)
+    return out.T
 
 
 def log_weights(refs: ReferenceModel, times: np.ndarray, mission_time: float, mask: np.ndarray) -> np.ndarray:
     """Per-row log likelihood ratio of the rows ``mask`` selects from a
-    ``(..., rows, events)`` times array, in order.
+    ``(rows, events)`` times array, in order.
 
     Every basic event contributes a factor: the density ratio f(t)/g(t) when
     its time is inside the mission window, the tail-mass ratio
     (1-F(T))/(1-G(T)) otherwise.  Each event's times are compressed by
-    the boolean ``mask``, of shape ``times.shape[:-1]``, on their own, so
-    the selected rows are never copied out as a matrix.
+    the boolean ``mask``, one entry per row, on their own, so the selected
+    rows are never copied out as a matrix.
     """
     if times.shape[-1] != len(refs.refs):
         raise ValueError("times matrix width does not match reference model")
@@ -314,7 +305,7 @@ def log_weights(refs: ReferenceModel, times: np.ndarray, mission_time: float, ma
     # density ratio, which the tail branch then replaces
     with np.errstate(invalid="ignore"):
         for i, ref in enumerate(refs.refs):
-            col = times[..., i][mask]
+            col = times[:, i][mask]
             logw += np.where(
                 col < mission_time,
                 ref.log_density_ratio(col),
@@ -323,18 +314,18 @@ def log_weights(refs: ReferenceModel, times: np.ndarray, mission_time: float, ma
     return logw
 
 
-def _group_blocks(n_events: int) -> int:
-    """Blocks per group for a tree of ``n_events`` basic events."""
-    return max(1, GROUP_FLOATS // (n_events * BATCH))
+def _block_rows(n_events: int) -> int:
+    """Cycles per block for a tree of ``n_events`` basic events."""
+    return BATCH * max(1, BLOCK_FLOATS // (n_events * BATCH))
 
 
-def _worker_count(n_groups: int) -> int:
-    """Worker threads a run of ``n_groups`` groups uses.
+def _worker_count(n_blocks: int) -> int:
+    """Worker threads a run of ``n_blocks`` blocks uses.
 
     Every core this process may run on (so ``taskset`` caps it), and never
-    more workers than groups.  Results do not depend on it.
+    more workers than blocks.  Results do not depend on it.
     """
-    return min(_available_cores(), n_groups)
+    return min(_available_cores(), n_blocks)
 
 
 def _available_cores() -> int:
@@ -343,25 +334,19 @@ def _available_cores() -> int:
     return os.cpu_count() or 1
 
 
-def _compute_group(tree, refs, mission_time, weighted, streams, buf):
-    times = sample_times(refs, streams, buf)
+def _compute_block(tree, refs, mission_time, weighted, gen, buf):
+    times = sample_times(refs, gen, buf)
     indicator = batch_top_times(tree, times) < mission_time
     hits = int(np.count_nonzero(indicator))
     if not weighted:
-        return hits, [float(hits)], [float(hits)]
-    # only hit rows are weighted; scattering them into zeros gives each
-    # block the same terms, and so the same pairwise sum, as weighting
-    # every row.  A row sum of a C-contiguous (blocks, rows) array reduces
-    # each row pairwise, exactly as np.sum reduces one block.  exp and the
-    # square reuse their input's memory, which keeps a group's temporaries
-    # near the size of its buffer.
+        return hits, float(hits), float(hits)
+    # only hit rows are weighted.  exp and the square reuse their input's
+    # memory, which keeps a block's temporaries near the size of its buffer.
     weights = log_weights(refs, times, mission_time, indicator)
     np.exp(weights, out=weights)
-    terms = np.zeros(indicator.shape)
-    terms[indicator] = weights
-    sums = terms.sum(axis=-1).tolist()
-    np.multiply(terms, terms, out=terms)
-    return hits, sums, terms.sum(axis=-1).tolist()
+    weight_sum = float(weights.sum())
+    np.multiply(weights, weights, out=weights)
+    return hits, weight_sum, float(weights.sum())
 
 
 def run_batch(
@@ -375,54 +360,55 @@ def run_batch(
 ) -> BatchTotals:
     """Simulate ``n_cycles`` cycles and accumulate hit and weight totals.
 
-    Cycles are split into blocks of ``BATCH``, each with its own stream
-    (:func:`_stream`) and its own partial sums.  Consecutive full blocks
-    form groups of up to :func:`_group_blocks`, and a short last block is
-    a group of its own, so every group is one C-contiguous ``(blocks,
-    events, rows)`` buffer and one kernel call.  The block sums are merged
-    in block order, which makes the totals independent of the grouping
-    and of the thread count, which :func:`_worker_count` picks from the
-    group count and the available cores.  The group buffers and
-    generators are made here, one per worker, and lent to the workers
-    through a queue, so the run's working set is bounded by ``workers *
-    max(GROUP_FLOATS, events * BATCH)`` floats.
+    Cycles are split into blocks of :func:`_block_rows` cycles, the last
+    one maybe short, each with its own stream (:func:`_stream`), its own
+    C-contiguous ``(events, rows)`` buffer, one kernel call and its own
+    partial sums.  The block sums are merged in block order, which makes
+    the totals independent of the thread count, which
+    :func:`_worker_count` picks from the block count and the available
+    cores.  The block buffers and generators are made here, one per
+    worker, and lent to the workers through a queue, so the run's working
+    set is bounded by ``workers * max(BLOCK_FLOATS, events * BATCH)``
+    floats.
+
+    ``refs`` must be the model of ``tree`` at ``config.mission_time``.
     """
     if n_cycles < 0:
         raise ValueError("n_cycles must be non-negative")
     if tuple(be.name for be in tree.basic_events) != refs.events:
         raise ValueError("reference model does not match the tree's basic events")
+    if config.mission_time != refs.mission_time:
+        raise ValueError(
+            f"reference model was built at mission time {refs.mission_time!r}, "
+            f"not {config.mission_time!r}"
+        )
     n_events = len(refs.refs)
-    per_group = _group_blocks(n_events)
-    full, short = divmod(n_cycles, BATCH)
-    # (first block, blocks, rows per block)
-    groups = [(b, min(per_group, full - b), BATCH) for b in range(0, full, per_group)]
-    if short:
-        groups.append((full, 1, short))
-    workers = _worker_count(len(groups))
+    rows = _block_rows(n_events)
+    n_blocks = -(-n_cycles // rows)
+    workers = _worker_count(n_blocks)
     base = _stream_base(config.seed, phase)
     kits: queue.SimpleQueue = queue.SimpleQueue()
     for _ in range(workers):
-        kits.put((np.empty(n_events * min(per_group * BATCH, n_cycles)), _stream(base, 0)))
+        kits.put((np.empty(n_events * min(rows, n_cycles)), _stream(base, 0)))
 
-    def work(group):
-        first, blocks, rows = group
+    def work(b):
         flat, gen = kits.get()
         try:
-            streams = (_stream(base, b, gen) for b in range(first, first + blocks))
-            buf = flat[:blocks * n_events * rows].reshape(blocks, n_events, rows)
-            return _compute_group(tree, refs, config.mission_time, weighted, streams, buf)
+            w = min(rows, n_cycles - b * rows)
+            buf = flat[:n_events * w].reshape(n_events, w)
+            return _compute_block(tree, refs, config.mission_time, weighted, _stream(base, b, gen), buf)
         finally:
             kits.put((flat, gen))
 
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            partials = list(pool.map(work, groups))
+            partials = list(pool.map(work, range(n_blocks)))
     else:
-        partials = [work(g) for g in groups]
+        partials = [work(b) for b in range(n_blocks)]
 
     hits = sum(p[0] for p in partials)
-    weight_sum = math.fsum(s for p in partials for s in p[1])
-    weight_sq_sum = math.fsum(s for p in partials for s in p[2])
+    weight_sum = math.fsum(p[1] for p in partials)
+    weight_sq_sum = math.fsum(p[2] for p in partials)
     return BatchTotals(hits=hits, weight_sum=weight_sum, weight_sq_sum=weight_sq_sum)
 
 

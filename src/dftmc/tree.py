@@ -292,18 +292,18 @@ def _fold(ufunc, kids):
 
 
 def batch_top_times(tree: FaultTree, times: np.ndarray) -> np.ndarray:
-    """Vectorized TOP failure times for a ``(..., cycles, basic_events)``
-    array, one per cycle: shape ``times.shape[:-1]``.
+    """Vectorized TOP failure times for a ``(cycles, basic_events)`` array,
+    one per cycle.
 
     Semantically identical to calling :func:`top_time` row by row; used by
     the simulation engine where per-sample Python dispatch would dominate.
-    Every gate works elementwise on whole event slices ``times[..., i]``,
-    so any memory layout gives the same result; the engine passes a
-    ``(blocks, cycles, events)`` view of its ``(blocks, events, cycles)``
-    buffer, in which each block's times of an event are contiguous.  No
-    gate stacks its inputs: a vote gate is a min/max selection
-    (:func:`_kth_smallest`), not a sort.  A gate's output is dropped once
-    its last consumer has read it, so only the live ones are held.
+    Every gate works elementwise on whole event columns ``times[:, i]``,
+    so any memory layout gives the same result; the engine passes the
+    ``(cycles, events)`` view of a block's ``(events, cycles)`` buffer, in
+    which each event's times are contiguous.  No gate stacks its inputs:
+    a vote gate is a min/max selection (:func:`_kth_smallest`), not a
+    sort.  A gate's output is dropped once its last consumer has read it,
+    so only the live ones are held.
 
     The engine may pass times censored at the mission time T: at d = 1 an
     input whose lifetime lies past T is inf.  Up to rounding at the window
@@ -314,10 +314,10 @@ def batch_top_times(tree: FaultTree, times: np.ndarray) -> np.ndarray:
     gates = tree.gate_order
     events = tree.basic_events
     times = np.asarray(times, dtype=float)
-    if times.ndim < 2 or times.shape[-1] != len(events):
+    if times.ndim != 2 or times.shape[1] != len(events):
         raise ValueError("times must have one column per basic event")
     last_use = {c: j for j, node in enumerate(gates) for c in node.children}
-    values = {be.name: times[..., i] for i, be in enumerate(events)}
+    values = {be.name: times[:, i] for i, be in enumerate(events)}
     for j, node in enumerate(gates):
         kids = [values[c] for c in node.children]
         for c in node.children:
@@ -330,7 +330,7 @@ def batch_top_times(tree: FaultTree, times: np.ndarray) -> np.ndarray:
         elif node.kind is GateKind.VOTING:
             out = _kth_smallest(kids, node.k)
         elif node.kind is GateKind.PAND:
-            ordered = np.ones(times.shape[:-1], dtype=bool)
+            ordered = np.ones(len(times), dtype=bool)
             for a, b in zip(kids, kids[1:]):
                 ordered &= a <= b
             last = kids[-1]

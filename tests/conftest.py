@@ -26,14 +26,14 @@ top TOP
 
 @contextlib.contextmanager
 def worker_count(k):
-    """Runs inside use ``k`` workers, capped at the group count.
+    """Runs inside use ``k`` workers, capped at the block count.
 
     ``None`` keeps the engine's automatic rule, every available core.  This
     is how thread counts vary whatever the machine's core count.
     """
     with pytest.MonkeyPatch.context() as m:
         if k is not None:
-            m.setattr(engine, "_worker_count", lambda n_groups: min(k, n_groups))
+            m.setattr(engine, "_worker_count", lambda n_blocks: min(k, n_blocks))
         yield
 
 

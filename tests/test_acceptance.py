@@ -134,7 +134,7 @@ def test_criterion_5_weight_identities():
         model = build_reference_model(tree, 1.0, MISSION)
         gen = _stream(_stream_base(int(rng.integers(0, 2**32)), 0), 0)
         rows = min(200, 10_000 - checks)
-        times = sample_times(model, [gen], np.empty((1, len(model.refs), rows)))[0]
+        times = sample_times(model, gen, np.empty((len(model.refs), rows)))
         exact_ones += int(np.count_nonzero(np.exp(log_weights(model, times, MISSION, np.ones(rows, bool))) == 1.0))
         checks += rows
     # (b) a tail factor always equals the drop parameter

@@ -154,7 +154,7 @@ class _Uniforms:
 def sampled(law, t, u):
     """``sample_times`` of a one-event d = 1 model fed the uniforms ``u``."""
     model = build_reference_model(FaultTree((BasicEvent("X", law),), "X"), 1.0, t)
-    return model.cuts[0], sample_times(model, [_Uniforms(u)], np.empty((1, 1, len(u))))[0, :, 0]
+    return model.cuts[0], sample_times(model, _Uniforms(u), np.empty((1, len(u))))[:, 0]
 
 
 @settings(PROPERTY, max_examples=300)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from dftmc import BasicEvent, FaultTree, Gate, GateKind, RunConfig, estimate_top
-from dftmc.distributions import Exponential
+from dftmc.distributions import Exponential, Normal
 from dftmc.oracle import (
     TreeTooLargeError,
     UnsupportedTreeError,
@@ -205,6 +205,16 @@ def test_direct_rich_agrees_with_engine_on_rescaled_overlap():
     with fixed_d(2.0):
         est = estimate_top(tree, RunConfig(mission_time=MISSION, seed=7, cycles=50_000))
     assert abs(p_dir - est.p_hat) <= 4 * math.hypot(se_dir, est.std_err)
+
+
+def test_direct_rich_redraws_normal_times_below_zero():
+    # Normal(1, 1) puts 16% of its mass below 0, where the law is truncated:
+    # counting those draws as hits would read 0.5, not the truncated F(T)
+    phi = lambda x: 0.5 * math.erfc(-x / math.sqrt(2.0))
+    exact = (phi(0.0) - phi(-1.0)) / (1.0 - phi(-1.0))
+    tree = FaultTree((BasicEvent("X", Normal(1.0, 1.0)),), top="X")
+    p_hat, std_err = direct_rich(tree, MISSION, 40_000, seed=3)
+    assert abs(p_hat - exact) <= 4 * std_err
 
 
 def test_direct_rich_handles_all_families():

@@ -99,6 +99,36 @@ def test_parse_errors_with_line(text, fragment, line):
     assert err.line == line
 
 
+@pytest.mark.parametrize(
+    "text,message,line,column",
+    [
+        pytest.param("dft 1 2\n", "header takes exactly one version token", 1, 1, id="header-extra-token"),
+        pytest.param(
+            "dft 1\n  mission_time 1 2\n", "mission_time takes exactly one value", 2, 3, id="mission-time-two-values"
+        ),
+        pytest.param("dft 1\nbe X\ntop X\n", "be line needs a name and a family", 2, 1, id="be-no-family"),
+        pytest.param(
+            "dft 1\nbe X exp mttf=1\ngate G and\ntop G\n",
+            "gate line needs a name, a kind and children", 3, 1, id="gate-no-children",
+        ),
+        pytest.param(
+            "dft 1\nbe X exp mttf=1\ngate G and X X\ngate  G or X X\ntop G\n",
+            "duplicate declaration of G (first on line 3)", 4, 7, id="duplicate-gate",
+        ),
+        pytest.param("dft 1\nbe X exp mttf=1\n top X X\n", "top takes exactly one name", 3, 2, id="top-two-names"),
+        pytest.param("dft 1\nbe X exp mttf\ntop X\n", "expected key=value, got 'mttf'", 2, 10, id="parameter-no-equals"),
+        pytest.param(
+            "dft 1\nbe X exp mttf=1\ngate G spare:0.5 X X\ntop G\n",
+            "spare expects a=<float>, got '0.5'", 3, 8, id="spare-no-a",
+        ),
+    ],
+)
+def test_parse_errors_with_line_and_column(text, message, line, column):
+    err = _err(text)
+    assert str(err) == f"line {line}, column {column}: {message}"
+    assert (err.line, err.column) == (line, column)
+
+
 def test_parse_forward_references_allowed():
     doc = parse(
         "dft 1\ngate TOP and A B\nbe X exp mttf=1\nbe Y exp mttf=1\n"
