@@ -113,8 +113,8 @@ def build_report(path, text, tree, config: RunConfig, estimate: Estimate, wall_s
         reference = {
             "d": estimate.reference.d,
             "events": [
-                {"name": name, "family": ref.base.family, "v": ref.v}
-                for name, ref in zip(estimate.reference.events, estimate.reference.refs)
+                {"name": be.name, "family": ref.base.family, "v": ref.v}
+                for be, ref in zip(estimate.reference.tree.basic_events, estimate.reference.refs)
             ],
         }
     return {

@@ -26,6 +26,10 @@ log d.  At d = 1 the reference laws are the base laws and every weight is
 exactly 1, so direct simulation is the d = 1 run without weights: one final
 run serves both methods, and ``model.d`` alone decides whether it weights.
 
+A :class:`ReferenceModel` holds the tree and the mission time T its laws
+were solved for, and a run reads both from it, so a model cannot be run
+against another tree or another T.
+
 Reproducibility contract: block b of a tree of n events covers cycles
 [b * L, (b + 1) * L), with L = ``_block_rows(n)``, and draws
 ``gen.random((events, w))`` for its w cycles from the PCG64DXSM generator
@@ -141,15 +145,16 @@ class RunConfig:
 class ReferenceModel:
     """Per-event reference laws tied together by the common drop parameter d.
 
-    The laws are solved at ``mission_time``, and a run at any other mission
-    time is refused.  ``cuts[i]`` is event i's F(T) at d = 1: the uniform
-    at and above which :func:`sample_times` censors its lifetimes to inf.
-    1.0 inverts every uniform.
+    The model holds the ``tree`` and the ``mission_time`` T its laws were
+    solved for; ``refs[i]`` is the law of ``tree.basic_events[i]``, and a
+    run simulates that tree at that T.  ``cuts[i]`` is event i's F(T) at
+    d = 1: the uniform at and above which :func:`sample_times` censors its
+    lifetimes to inf.  1.0 inverts every uniform.
     """
 
+    tree: FaultTree
     d: float
     mission_time: float
-    events: tuple[str, ...]
     refs: tuple[ReferenceDistribution, ...]
     cuts: tuple[float, ...]
 
@@ -203,20 +208,18 @@ def build_reference_model(tree: FaultTree, d: float, mission_time: float) -> Ref
     ``CUT_MAX`` and a cut could pay, but no benchmark workload runs such a
     model.
     """
-    names = []
     refs = []
     for be in tree.basic_events:
         try:
             v = solve_reference(be.dist, d, mission_time)
         except ReferenceSolverError as exc:
             raise ReferenceSolverError(f"event {be.name}: {exc}") from exc
-        names.append(be.name)
         refs.append(scale(be.dist, v))
     if d == 1.0:
         cuts = tuple(_window_cut(ref.law, mission_time) for ref in refs)
     else:
         cuts = (1.0,) * len(refs)
-    return ReferenceModel(d=d, mission_time=mission_time, events=tuple(names), refs=tuple(refs), cuts=cuts)
+    return ReferenceModel(tree=tree, d=d, mission_time=mission_time, refs=tuple(refs), cuts=cuts)
 
 
 def _window_cut(law, mission_time: float) -> float:
@@ -288,12 +291,12 @@ def sample_times(refs: ReferenceModel, gen: np.random.Generator, out: np.ndarray
     return out.T
 
 
-def log_weights(refs: ReferenceModel, times: np.ndarray, mission_time: float, mask: np.ndarray) -> np.ndarray:
+def log_weights(refs: ReferenceModel, times: np.ndarray, mask: np.ndarray) -> np.ndarray:
     """Per-row log likelihood ratio of the rows ``mask`` selects from a
     ``(rows, events)`` times array, in order.
 
     Every basic event contributes a factor: the density ratio f(t)/g(t) when
-    its time is inside the mission window, the tail-mass ratio
+    its time is inside the model's mission window, the tail-mass ratio
     (1-F(T))/(1-G(T)) otherwise.  Each event's times are compressed by
     the boolean ``mask``, one entry per row, on their own, so the selected
     rows are never copied out as a matrix.
@@ -307,9 +310,9 @@ def log_weights(refs: ReferenceModel, times: np.ndarray, mission_time: float, ma
         for i, ref in enumerate(refs.refs):
             col = times[:, i][mask]
             logw += np.where(
-                col < mission_time,
+                col < refs.mission_time,
                 ref.log_density_ratio(col),
-                ref.log_survival_ratio(mission_time),
+                ref.log_survival_ratio(refs.mission_time),
             )
     return logw
 
@@ -334,15 +337,15 @@ def _available_cores() -> int:
     return os.cpu_count() or 1
 
 
-def _compute_block(tree, refs, mission_time, weighted, gen, buf):
+def _compute_block(refs, weighted, gen, buf):
     times = sample_times(refs, gen, buf)
-    indicator = batch_top_times(tree, times) < mission_time
+    indicator = batch_top_times(refs.tree, times) < refs.mission_time
     hits = int(np.count_nonzero(indicator))
     if not weighted:
         return hits, float(hits), float(hits)
     # only hit rows are weighted.  exp and the square reuse their input's
     # memory, which keeps a block's temporaries near the size of its buffer.
-    weights = log_weights(refs, times, mission_time, indicator)
+    weights = log_weights(refs, times, indicator)
     np.exp(weights, out=weights)
     weight_sum = float(weights.sum())
     np.multiply(weights, weights, out=weights)
@@ -350,15 +353,15 @@ def _compute_block(tree, refs, mission_time, weighted, gen, buf):
 
 
 def run_batch(
-    tree: FaultTree,
     refs: ReferenceModel,
-    config: RunConfig,
+    seed: int,
     n_cycles: int,
     *,
     phase: int = PHASE_FINAL,
     weighted: bool = True,
 ) -> BatchTotals:
-    """Simulate ``n_cycles`` cycles and accumulate hit and weight totals.
+    """Simulate ``n_cycles`` cycles of ``refs.tree`` at ``refs.mission_time``
+    from stream ``(seed, phase)``, and accumulate hit and weight totals.
 
     Cycles are split into blocks of :func:`_block_rows` cycles, the last
     one maybe short, each with its own stream (:func:`_stream`), its own
@@ -370,23 +373,14 @@ def run_batch(
     worker, and lent to the workers through a queue, so the run's working
     set is bounded by ``workers * max(BLOCK_FLOATS, events * BATCH)``
     floats.
-
-    ``refs`` must be the model of ``tree`` at ``config.mission_time``.
     """
     if n_cycles < 0:
         raise ValueError("n_cycles must be non-negative")
-    if tuple(be.name for be in tree.basic_events) != refs.events:
-        raise ValueError("reference model does not match the tree's basic events")
-    if config.mission_time != refs.mission_time:
-        raise ValueError(
-            f"reference model was built at mission time {refs.mission_time!r}, "
-            f"not {config.mission_time!r}"
-        )
     n_events = len(refs.refs)
     rows = _block_rows(n_events)
     n_blocks = -(-n_cycles // rows)
     workers = _worker_count(n_blocks)
-    base = _stream_base(config.seed, phase)
+    base = _stream_base(seed, phase)
     kits: queue.SimpleQueue = queue.SimpleQueue()
     for _ in range(workers):
         kits.put((np.empty(n_events * min(rows, n_cycles)), _stream(base, 0)))
@@ -396,7 +390,7 @@ def run_batch(
         try:
             w = min(rows, n_cycles - b * rows)
             buf = flat[:n_events * w].reshape(n_events, w)
-            return _compute_block(tree, refs, config.mission_time, weighted, _stream(base, b, gen), buf)
+            return _compute_block(refs, weighted, _stream(base, b, gen), buf)
         finally:
             kits.put((flat, gen))
 
@@ -428,9 +422,7 @@ def select_reference(tree: FaultTree, config: RunConfig) -> tuple[ReferenceModel
 
     for ic in range(1, MAX_SEARCH_ITERATIONS + 1):
         model = build_reference_model(tree, d, config.mission_time)
-        totals = run_batch(
-            tree, model, config, config.prelim_cycles, phase=ic, weighted=False
-        )
+        totals = run_batch(model, config.seed, config.prelim_cycles, phase=ic, weighted=False)
         ampos = totals.hits
         trace.iterations.append(SearchIteration(ic=ic, d=d, d_low=d_low, d_up=d_up, ampos=ampos))
 
@@ -473,7 +465,7 @@ def estimate_top(tree: FaultTree, config: RunConfig) -> Estimate:
     else:
         model, trace = select_reference(tree, config)
     direct = model.d == 1.0
-    totals = run_batch(tree, model, config, config.cycles, phase=PHASE_FINAL, weighted=not direct)
+    totals = run_batch(model, config.seed, config.cycles, phase=PHASE_FINAL, weighted=not direct)
 
     k = config.cycles
     p_hat = totals.weight_sum / k

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import Exponential, LogNormal, Normal, Weibull, _check_positive
+from .distributions import Exponential, LogNormal, Weibull, _check_positive
 from .tree import BasicEvent, FaultTree, Gate, GateKind, top_time
 
 __all__ = [
@@ -131,14 +131,12 @@ def direct_rich(tree: FaultTree, mission_time: float, cycles: int, seed: int = 0
             col = d.scale_param * rng.weibull(d.shape, cycles)
         elif isinstance(d, LogNormal):
             col = rng.lognormal(d.mu, d.sigma, cycles)
-        elif isinstance(d, Normal):
+        else:  # Normal; validate refuses every other law
             col = rng.normal(d.mean, d.sd, cycles)
             bad = col < 0.0
             while np.any(bad):  # rejection keeps times physical
                 col[bad] = rng.normal(d.mean, d.sd, int(np.count_nonzero(bad)))
                 bad = col < 0.0
-        else:
-            raise UnsupportedTreeError(f"unknown distribution for event {be.name}")
         columns.append(col)
     samples = np.column_stack(columns) if columns else np.empty((cycles, 0))
 

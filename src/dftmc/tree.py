@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .distributions import Lifetime, _real
+from .distributions import Exponential, Lifetime, LogNormal, Normal, Weibull, _real
 
 __all__ = [
     "GateKind",
@@ -74,6 +74,8 @@ class Gate:
     dormancy: float | None = None  # spare only
 
     def __post_init__(self):
+        if isinstance(self.children, str):  # tuple("AB") would read as ("A", "B")
+            raise TypeError(f"gate {self.name}: children must be a sequence of names, not {self.children!r}")
         object.__setattr__(self, "children", tuple(self.children))
         # numbers become the Python int or float they equal; validate refuses the rest
         if isinstance(self.k, numbers.Integral) and not isinstance(self.k, bool):
@@ -122,7 +124,8 @@ def validate(tree: FaultTree) -> FaultTree:
     harmless.  Raises :class:`ValidationError` naming the offending node
     for: duplicate names, undeclared children, bad arity, a voting threshold
     not an int in range, a spare dormancy not a float in [0, 1], cycles,
-    and nodes unreachable from TOP.
+    and nodes unreachable from TOP.  Raises ``TypeError`` for a basic event
+    whose law is none of the four lifetime families.
     """
     by_name: dict[str, BasicEvent | Gate] = {}
     for node in tree.nodes:
@@ -135,6 +138,8 @@ def validate(tree: FaultTree) -> FaultTree:
 
     for node in tree.nodes:
         if not isinstance(node, Gate):
+            if not isinstance(node.dist, (Exponential, Weibull, LogNormal, Normal)):
+                raise TypeError(f"basic event {node.name}: unknown distribution {type(node.dist).__name__}")
             continue
         for child in node.children:
             if child not in by_name:

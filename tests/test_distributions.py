@@ -234,6 +234,18 @@ def test_density_ratio_matches_pdf_quotient():
     assert compared > 100
 
 
+@pytest.mark.parametrize(
+    "base, other, what",
+    [
+        (Weibull(1.0, 2.0), Weibull(1.0, 3.0), "Weibull shapes"),
+        (LogNormal(0.0, 1.0), LogNormal(0.0, 2.0), "LogNormal sigmas"),
+    ],
+)
+def test_density_ratio_refuses_laws_that_differ_beyond_scale(base, other, what):
+    with pytest.raises(ValueError, match=f"requires matching {what}"):
+        base.log_density_ratio(other, 0.5)
+
+
 # -- reference solving -------------------------------------------------------
 
 
@@ -255,6 +267,12 @@ def test_solve_reference_weibull_closed_form():
 def test_solve_reference_identity_at_one(dist):
     assert solve_reference(dist, 1.0, 1.0) == dist.scale
     assert solve_reference_bisect(dist, 1.0, 1.0) == dist.scale
+
+
+@pytest.mark.parametrize("solver", [solve_reference, solve_reference_bisect])
+def test_solvers_refuse_d_below_one(solver):
+    with pytest.raises(ValueError, match="d must be >= 1"):
+        solver(Exponential(1.0), 0.5, 1.0)
 
 
 @pytest.mark.parametrize("dist", FAMILIES, ids=lambda d: repr(d))
@@ -323,6 +341,10 @@ def test_solver_failure_when_scale_underflows():
         solve_reference_bisect(LogNormal(0.0, 50.0), 1e300, 1.0)
     with pytest.raises(ReferenceSolverError):
         solve_reference(LogNormal(0.0, 50.0), 1e300, 1.0)
+    # the bracket search's 1100 halvings of 1e300 stop near 1e-31, far above
+    # the scale of about 1.4e-300 that the drop needs
+    with pytest.raises(ReferenceSolverError, match="bracket expansion failed"):
+        solve_reference_bisect(Exponential(1e300), 2.0, 1e-300)
     # the closed forms leave the float range on their way to a scale of 0:
     # (T/u)**b overflows, and so does 1/mttf; Python floats and numpy
     # numbers alike, with no warning

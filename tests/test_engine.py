@@ -317,7 +317,7 @@ def test_sample_times_match_reference_law_at_d_two():
 
 def _weights(model, times):
     times = np.asarray(times, dtype=float)
-    return np.exp(log_weights(model, times, MISSION, np.ones(len(times), bool)))
+    return np.exp(log_weights(model, times, np.ones(len(times), bool)))
 
 
 def test_weight_is_exactly_one_at_d_one():
@@ -334,9 +334,9 @@ def test_log_weights_of_masked_rows_equal_those_of_the_selected_matrix(mixed_tre
     times = sampled(model, stream(6, 0, 0), 1000)
     mask = batch_top_times(mixed_tree, times) < MISSION
     assert mask.shape == (1000,) and 0 < np.count_nonzero(mask) < 1000
-    masked = log_weights(model, times, MISSION, mask)
+    masked = log_weights(model, times, mask)
     selected = times[mask]
-    assert masked.tobytes() == log_weights(model, selected, MISSION, np.ones(len(selected), bool)).tobytes()
+    assert masked.tobytes() == log_weights(model, selected, np.ones(len(selected), bool)).tobytes()
 
 
 def test_tail_factor_equals_d():
@@ -373,33 +373,13 @@ def test_weight_factor_value_below_horizon():
 def test_log_weights_rejects_mismatched_width(overlap_tree):
     model = build_reference_model(overlap_tree, 2.0, MISSION)
     with pytest.raises(ValueError):
-        log_weights(model, np.array([[1.0]]), MISSION, np.ones(1, bool))
-
-
-def test_run_batch_rejects_model_of_another_mission_time(static_or2_tree):
-    # TOP's probability is 0.19 at T = 1: a model built there must not be
-    # run, and censored, at T = 10
-    model = build_reference_model(static_or2_tree, 1.0, 1.0)
-    with pytest.raises(ValueError, match="mission time"):
-        run_batch(static_or2_tree, model, RunConfig(mission_time=10.0), 100_000, weighted=False)
-    assert model.mission_time == 1.0
+        log_weights(model, np.array([[1.0]]), np.ones(1, bool))
 
 
 def test_run_batch_rejects_negative_cycles(overlap_tree):
     model = build_reference_model(overlap_tree, 2.0, MISSION)
     with pytest.raises(ValueError, match="n_cycles"):
-        run_batch(overlap_tree, model, RunConfig(mission_time=MISSION), -1)
-
-
-def test_run_batch_rejects_model_of_another_tree():
-    x, y = BasicEvent("X", Exponential(1000.0)), BasicEvent("Y", Exponential(2000.0))
-    and_tree = FaultTree((x, y, Gate("TOP", GateKind.AND, ("X", "Y"))), top="TOP")
-    p, q = BasicEvent("P", Exponential(50.0)), BasicEvent("Q", Exponential(80.0))
-    or_tree = FaultTree((p, q, Gate("TOP", GateKind.OR, ("P", "Q"))), top="TOP")
-    # same width, other event names: the model must not be silently reused
-    model = build_reference_model(or_tree, 4.0, MISSION)
-    with pytest.raises(ValueError, match="basic events"):
-        run_batch(and_tree, model, RunConfig(mission_time=MISSION), 100_000)
+        run_batch(model, 0, -1)
 
 
 # -- batch runner -------------------------------------------------------------
@@ -407,25 +387,22 @@ def test_run_batch_rejects_model_of_another_tree():
 
 def test_run_batch_zero_cycles(overlap_tree):
     model = build_reference_model(overlap_tree, 2.0, MISSION)
-    totals = run_batch(overlap_tree, model, RunConfig(mission_time=MISSION), 0)
+    totals = run_batch(model, 0, 0)
     assert (totals.hits, totals.weight_sum, totals.weight_sq_sum) == (0, 0.0, 0.0)
 
 
 def test_run_batch_direct_binomial():
     tree = single_event_tree(exp_with_p(0.1))
     model = build_reference_model(tree, 1.0, MISSION)
-    config = RunConfig(mission_time=MISSION, seed=3)
-    totals = run_batch(tree, model, config, 100_000, weighted=False)
+    totals = run_batch(model, 3, 100_000, weighted=False)
     assert totals.hits / 100_000 == pytest.approx(0.1, abs=0.01)
 
 
 def test_run_batch_overlap_pilot_scale(overlap_tree):
     # at d=2 the pilot hit count sits around 47 per 1000 cycles
-    config = RunConfig(mission_time=MISSION, seed=0)
     model = build_reference_model(overlap_tree, 2.0, MISSION)
     for seed in range(5):
-        cfg = RunConfig(mission_time=MISSION, seed=seed)
-        totals = run_batch(overlap_tree, model, cfg, 1000, phase=2, weighted=False)
+        totals = run_batch(model, seed, 1000, phase=2, weighted=False)
         assert 10 <= totals.hits <= 100
 
 
@@ -436,7 +413,7 @@ def test_run_batch_thread_invariance(overlap_tree, wide_tree):
         totals = []
         for threads in (1, 2, 4, None):
             with worker_count(threads):
-                totals.append(run_batch(tree, model, RunConfig(mission_time=mission, seed=11), 50_000))
+                totals.append(run_batch(model, 11, 50_000))
         assert all(t == totals[0] for t in totals)
         assert 0 < totals[0].hits < 50_000
 
@@ -445,15 +422,14 @@ def test_block_buffers_are_not_shared_under_thread_contention(wide_tree):
     # more workers than cores, switching threads every microsecond: a buffer
     # lent to two workers at once would mix their blocks' uniforms
     model = build_reference_model(wide_tree, 2.0, WIDE_MISSION)
-    config = RunConfig(mission_time=WIDE_MISSION, seed=5)
     with worker_count(1):
-        serial = run_batch(wide_tree, model, config, 20 * BATCH)
+        serial = run_batch(model, 5, 20 * BATCH)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         with worker_count(8):
             for _ in range(3):
-                assert run_batch(wide_tree, model, config, 20 * BATCH) == serial
+                assert run_batch(model, 5, 20 * BATCH) == serial
     finally:
         sys.setswitchinterval(interval)
 
@@ -474,7 +450,7 @@ def test_block_length_and_the_blocks_the_rule_sees(monkeypatch, overlap_tree):
     monkeypatch.setattr(engine, "_worker_count", lambda n_blocks: seen.append(n_blocks) or 1)
     model = build_reference_model(overlap_tree, 2.0, MISSION)
     for n_cycles in (0, 1000, 10**6):
-        run_batch(overlap_tree, model, RunConfig(mission_time=MISSION), n_cycles)
+        run_batch(model, 0, n_cycles)
     # 1e6 cycles are 30 blocks of 32 768 cycles and a short one of 16 960
     assert seen == [0, 1, 31]
 
@@ -487,11 +463,10 @@ def test_run_batch_working_set_is_one_block_buffer_per_worker():
     tree = random_tree(np.random.default_rng(5), n_events)
     for d, weighted in ((1.0, False), (8.0, True)):
         model = build_reference_model(tree, d, MISSION)
-        config = RunConfig(mission_time=MISSION, seed=2)
         tracemalloc.start()
         try:
             with worker_count(threads):
-                totals = run_batch(tree, model, config, 100_000, weighted=weighted)
+                totals = run_batch(model, 2, 100_000, weighted=weighted)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -506,11 +481,10 @@ def test_run_batch_working_set_of_a_small_tree_is_one_long_block_per_worker(over
     bound = threads * max(BLOCK_FLOATS, n_events * BATCH) * 8 * 2.5
     for d, weighted in ((2.0, False), (2.0**20, True)):
         model = build_reference_model(overlap_tree, d, MISSION)
-        config = RunConfig(mission_time=MISSION, seed=2)
         tracemalloc.start()
         try:
             with worker_count(threads):
-                totals = run_batch(overlap_tree, model, config, 200_000, weighted=weighted)
+                totals = run_batch(model, 2, 200_000, weighted=weighted)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -518,7 +492,7 @@ def test_run_batch_working_set_of_a_small_tree_is_one_long_block_per_worker(over
         assert totals.hits > 0
 
 
-def _reference_totals(tree, model, config, n_cycles, phase, censored=False):
+def _reference_totals(model, seed, n_cycles, phase, censored=False):
     """Totals the way the engine defines them, with no shortcut.
 
     This is the draw order written out: a tree of n events runs blocks of
@@ -531,13 +505,13 @@ def _reference_totals(tree, model, config, n_cycles, phase, censored=False):
     time whose uniform is at or above its event's cut to inf after
     inverting it.
     """
-    t = config.mission_time
+    tree, t = model.tree, model.mission_time
     n_events = len(model.refs)
     block = BATCH * max(1, BLOCK_FLOATS // (n_events * BATCH))
     hits, sums, sq_sums = 0, [], []
     for b in range((n_cycles + block - 1) // block):
         rows = min(block, n_cycles - b * block)
-        u = stream(config.seed, phase, b).random((n_events, rows))
+        u = stream(seed, phase, b).random((n_events, rows))
         times = np.empty((rows, n_events))
         for i, (ref, cut) in enumerate(zip(model.refs, model.cuts)):
             times[:, i] = ref._quantile01(u[i])
@@ -545,7 +519,7 @@ def _reference_totals(tree, model, config, n_cycles, phase, censored=False):
                 times[u[i] >= cut, i] = np.inf
         indicator = batch_top_times(tree, times) < t
         with np.errstate(over="ignore"):
-            weights = np.exp(log_weights(model, times, t, np.ones(rows, bool)))[indicator]
+            weights = np.exp(log_weights(model, times, np.ones(rows, bool)))[indicator]
         hits += int(np.count_nonzero(indicator))
         sums.append(float(np.sum(weights)))
         sq_sums.append(float(np.sum(weights * weights)))
@@ -561,11 +535,10 @@ def test_run_batch_weights_equal_all_row_reference(mixed_tree, wide_tree, d):
     n_cycles = 2 * BATCH + 100
     for tree, mission in ((mixed_tree, MISSION), (wide_tree, WIDE_MISSION)):
         model = build_reference_model(tree, d, mission)
-        config = RunConfig(mission_time=mission, seed=4)
         for threads in (1, 2, None):
             with worker_count(threads):
-                totals = run_batch(tree, model, config, n_cycles, phase=3)
-            reference = _reference_totals(tree, model, config, n_cycles, phase=3)
+                totals = run_batch(model, 4, n_cycles, phase=3)
+            reference = _reference_totals(model, 4, n_cycles, phase=3)
             assert totals == reference
             if tree is mixed_tree and d == 1.0:
                 assert (totals.hits, totals.weight_sum, totals.weight_sq_sum) == (0, 0.0, 0.0)
@@ -604,15 +577,14 @@ def test_run_batch_at_d_one_equals_full_inversion():
     for tree, mission, n_cut in _censoring_trees():
         model = build_reference_model(tree, 1.0, mission)
         assert sum(cut < 1.0 for cut in model.cuts) == n_cut
-        config = RunConfig(mission_time=mission, seed=4)
-        reference = _reference_totals(tree, model, config, n_cycles, phase=3, censored=True)
-        assert reference == _reference_totals(tree, model, config, n_cycles, phase=3)
+        reference = _reference_totals(model, 4, n_cycles, phase=3, censored=True)
+        assert reference == _reference_totals(model, 4, n_cycles, phase=3)
         counted = BatchTotals(reference.hits, float(reference.hits), float(reference.hits))
         assert 0 < reference.hits < n_cycles
         for threads in (1, 2, None):
             with worker_count(threads):
-                assert run_batch(tree, model, config, n_cycles, phase=3) == reference
-                assert run_batch(tree, model, config, n_cycles, phase=3, weighted=False) == counted
+                assert run_batch(model, 4, n_cycles, phase=3) == reference
+                assert run_batch(model, 4, n_cycles, phase=3, weighted=False) == counted
 
 
 def test_censored_rows_are_inverted_by_the_reference_quantile(monkeypatch):
@@ -637,14 +609,13 @@ def test_run_batch_block_edges_equal_all_row_reference(which, overlap_tree, mixe
     block = _block_rows(len(tree.basic_events))
     assert block > BATCH
     model = build_reference_model(tree, 2.0, MISSION)
-    config = RunConfig(mission_time=MISSION, seed=8)
     for n_cycles in (1, BATCH, block - 1, block, block + 1, 2 * block + 100):
-        reference = _reference_totals(tree, model, config, n_cycles, phase=5)
+        reference = _reference_totals(model, 8, n_cycles, phase=5)
         counted = BatchTotals(reference.hits, float(reference.hits), float(reference.hits))
         for threads in (1, 2, 3):
             with worker_count(threads):
-                assert run_batch(tree, model, config, n_cycles, phase=5) == reference
-                assert run_batch(tree, model, config, n_cycles, phase=5, weighted=False) == counted
+                assert run_batch(model, 8, n_cycles, phase=5) == reference
+                assert run_batch(model, 8, n_cycles, phase=5, weighted=False) == counted
         if n_cycles > BATCH:
             assert 0 < reference.hits < n_cycles
 

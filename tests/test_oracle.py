@@ -235,3 +235,14 @@ def test_match_overlap_shape(overlap_tree):
 def test_match_rejects_other_shapes(static_or2_tree, impossible_tree):
     assert match_pand_overlap(static_or2_tree) is None
     assert match_pand_overlap(impossible_tree) is None
+    events = [BasicEvent(f"E{i}", Exponential(1000.0 * i)) for i in range(1, 6)]
+    # the and-gates do not share their middle events, then a name repeats
+    for right in (("E5", "E3", "E4"), ("E2", "E3", "E1")):
+        gates = (
+            Gate("A", GateKind.AND, ("E1", "E2", "E3")),
+            Gate("B", GateKind.AND, right),
+            Gate("TOP", GateKind.PAND, ("A", "B")),
+        )
+        used = {"E1", "E2", "E3", *right}
+        tree = static_tree([e for e in events if e.name in used], gates, "TOP")
+        assert match_pand_overlap(tree) is None

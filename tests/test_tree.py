@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from dftmc import BasicEvent, FaultTree, Gate, GateKind, ValidationError, eval_gate, top_time, validate
-from dftmc.distributions import Exponential
+from dftmc.distributions import Exponential, Lifetime
 from dftmc.tree import batch_top_times
 from treegen import random_sample, random_tree
 
@@ -144,6 +144,9 @@ def test_validate_small_arity():
     nodes = (be("X"), Gate("G", GateKind.AND, ("X",)))
     with pytest.raises(ValidationError, match="at least 2"):
         FaultTree(nodes, top="G")
+    nodes = (be("X"), Gate("G", GateKind.OR, ("X", "X")), Gate("V", GateKind.VOTING, (), k=1))
+    with pytest.raises(ValidationError, match="gate V: vote needs at least 1 child"):
+        FaultTree(nodes, top="G")
 
 
 def test_validate_voting_threshold_range():
@@ -181,6 +184,27 @@ def test_validate_missing_top():
         FaultTree((be("X"),), top="NOPE")
 
 
+def test_gate_refuses_a_string_of_children():
+    # tuple("AB") is ("A", "B"): and(A, B) with events A and B, and a
+    # misleading "undeclared child A" with one event named AB
+    with pytest.raises(TypeError, match="gate TOP: children must be a sequence of names"):
+        Gate("TOP", GateKind.AND, "AB")
+    assert Gate("TOP", GateKind.AND, ["A", "B"]).children == ("A", "B")
+
+
+class _Uniform(Lifetime):  # a law of none of the four families
+    pass
+
+
+@pytest.mark.parametrize("dist", [None, object(), _Uniform()], ids=["None", "object", "Lifetime"])
+def test_validate_refuses_a_basic_event_without_a_known_law(dist):
+    # the solver and the samplers know only the four families: refused
+    # here, such a law cannot fail late or be solved as if it were a Normal
+    nodes = (BasicEvent("A", dist), Gate("G", GateKind.OR, ("A", "A")))
+    with pytest.raises(TypeError, match="basic event A: unknown distribution"):
+        FaultTree(nodes, top="G")
+
+
 # -- whole-tree evaluation ----------------------------------------------------
 
 
@@ -201,6 +225,9 @@ def test_top_time_checks_length():
     tree = FaultTree(overlap_nodes(), top="TOP")
     with pytest.raises(ValueError, match="4 basic events"):
         top_time(tree, [1.0, 2.0])
+    for times in (np.zeros(4), np.zeros((3, 5))):
+        with pytest.raises(ValueError, match="one column per basic event"):
+            batch_top_times(tree, times)
 
 
 def test_shared_subtree_equals_expanded_tree():
